@@ -22,8 +22,9 @@
 //! * [`group`] — [`GroupSpec`] + [`ClusterCostModel`]: a sharded group as
 //!   one logical executor implementing [`spatten_serve::FleetCost`], so
 //!   the existing schedulers / batcher / metrics drive groups unchanged.
-//! * [`sim`] — [`simulate_cluster`]: the discrete-event loop over groups,
-//!   plus [`ClusterConfig::carve`] to split a fleet into planned groups.
+//! * [`sim`] — [`cluster_engine`] / [`simulate_cluster`]: the serving
+//!   engine over groups, plus [`ClusterConfig::carve`] to split a fleet
+//!   into planned groups.
 //!
 //! # Quick start
 //!
@@ -66,12 +67,11 @@ pub use shard::{
     activation_bytes, prefill_survivors, shard_decode, shard_kv_footprint, shard_kv_peak,
     shard_prefill, ShardStrategy,
 };
-pub use sim::{cluster_engine, simulate_cluster, unsharded_cluster, ClusterConfig, ClusterEngine};
+pub use sim::{cluster_engine, simulate_cluster, unsharded_cluster, ClusterConfig};
 pub use topology::{Interconnect, Topology};
 
 // The scheduling knobs a cluster run composes with, re-exported so
 // cluster users configure routing / stealing / preemption without
-// depending on `spatten-serve` directly (the generic simulation path is
-// unchanged — `ClusterConfig::sched` carries these into
-// `simulate_fleet_policy`).
+// depending on `spatten-serve` directly (`ClusterConfig::sched` carries
+// these into `spatten_serve::fleet_engine_policy`).
 pub use spatten_serve::{KvSpec, Policy, PreemptSpec, RouteSpec, SchedKnobs, StealSpec};

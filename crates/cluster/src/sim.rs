@@ -1,32 +1,22 @@
 //! Cluster simulation: sharded chip groups behind the serving event loop.
 //!
-//! [`simulate_cluster`] is to groups what
-//! [`spatten_serve::simulate_fleet`] is to chips: it wires a
-//! [`ClusterCostModel`] into the generic discrete-event loop
-//! ([`spatten_serve::simulate_fleet_with`]), so every scheduler policy,
-//! the KV-footprint batcher, chunked prefill and the metrics stack apply
-//! unchanged — one logical executor per group, link time folded into each
-//! group's step costs.
+//! [`cluster_engine`] is to groups what [`spatten_serve::fleet_engine`]
+//! is to chips: it wires a [`ClusterCostModel`] into the one
+//! discrete-event loop ([`spatten_serve::FleetEngine`]), so every
+//! scheduler policy, the KV-footprint batcher, chunked prefill and the
+//! metrics stack apply unchanged — one logical executor per group, link
+//! time folded into each group's step costs. [`simulate_cluster`]
+//! replays a trace through it.
 
 use crate::group::{ClusterCostModel, GroupSpec};
 use crate::place::{plan_with_costs, resolve_chip, shard_costs, PlaceError};
 use crate::shard::ShardStrategy;
 use spatten_serve::{
-    fleet_engine_policy, simulate_fleet_policy, AdmissionPolicy, BatchPolicy, ElasticSchedule,
-    FleetEngine, FleetReport, Policy, PoolSpec, PreemptionPolicy, RoutingPolicy, SchedKnobs,
+    fleet_engine_policy, ElasticSchedule, FleetReport, Policy, PolicyFleetEngine, PoolSpec,
+    SchedKnobs,
 };
 use spatten_workloads::fleet::FleetSpec;
 use spatten_workloads::{Trace, Workload};
-
-/// The resumable engine type [`cluster_engine`] returns: one logical
-/// executor per sharded group, behind the boxed policy quadruple.
-pub type ClusterEngine = FleetEngine<
-    ClusterCostModel,
-    Box<dyn AdmissionPolicy>,
-    Box<dyn BatchPolicy>,
-    Box<dyn RoutingPolicy>,
-    Box<dyn PreemptionPolicy>,
->;
 
 /// A cluster of sharded chip groups plus serving parameters.
 #[derive(Debug, Clone)]
@@ -135,38 +125,25 @@ impl ClusterConfig {
     }
 }
 
-/// Simulates `trace` on the cluster. Deterministic for fixed inputs.
+/// Simulates `trace` on the cluster: `cluster_engine(cfg).replay(trace)`.
+/// Deterministic for fixed inputs.
 ///
 /// # Panics
 ///
 /// Panics if the cluster has no groups or inconsistent clocks.
 pub fn simulate_cluster(cfg: &ClusterConfig, trace: &Trace) -> FleetReport {
-    let clock = cfg.clock_ghz();
-    let cost = ClusterCostModel::new(cfg.groups.clone(), cfg.fc_weight_bits);
-    simulate_fleet_policy(
-        cost,
-        cfg.groups.len(),
-        cfg.policy,
-        &cfg.sched,
-        cfg.pools.clone(),
-        cfg.elastic.clone(),
-        cfg.max_batch,
-        clock,
-        trace,
-    )
+    cluster_engine(cfg).replay(trace)
 }
 
-/// The cluster as a resumable [`FleetEngine`]: the same wiring as
-/// [`simulate_cluster`], paused before the first event. Attach a
-/// `TokenSink`, inject live requests, and step virtual time explicitly —
-/// replaying a full trace through it reproduces [`simulate_cluster`]
-/// bit-for-bit, so sharded groups serve streaming traffic through the
-/// identical timeline the offline sweeps report.
+/// The cluster as a resumable [`FleetEngine`](spatten_serve::FleetEngine),
+/// paused before the first event: one logical executor per sharded
+/// group. Attach a `TokenSink`, inject live requests, and step virtual
+/// time explicitly, or replay a whole trace ([`simulate_cluster`]).
 ///
 /// # Panics
 ///
 /// Panics if the cluster has no groups or inconsistent clocks.
-pub fn cluster_engine(cfg: &ClusterConfig) -> ClusterEngine {
+pub fn cluster_engine(cfg: &ClusterConfig) -> PolicyFleetEngine<ClusterCostModel> {
     let clock = cfg.clock_ghz();
     let cost = ClusterCostModel::new(cfg.groups.clone(), cfg.fc_weight_bits);
     fleet_engine_policy(

@@ -53,11 +53,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use spatten_core::SpAttenConfig;
 use spatten_serve::json::{self, JsonObject, JsonValue};
 use spatten_serve::{
-    fleet_engine_policy, CostModel, ElasticSpec, FleetEvents, FleetReport, LiveSnapshot, Policy,
-    Rejection, SchedKnobs, TokenEvent, TokenSink,
+    fleet_engine, ns_to_cycles, ElasticSpec, FleetConfig, FleetEvents, FleetReport, LiveSnapshot,
+    Policy, Rejection, SchedKnobs, TokenEvent, TokenSink,
 };
 use spatten_workloads::{Benchmark, TraceRequest};
 
@@ -117,13 +116,6 @@ impl TimeBridge {
     fn wall_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
-}
-
-/// The same ns→cycles rounding the engine applies to injected arrivals,
-/// reproduced here so `step_until` chases exactly the cycle the next
-/// arrival would map to.
-fn ns_to_cycles(clock_ghz: f64, ns: u64) -> u64 {
-    (ns as f64 * clock_ghz).round() as u64
 }
 
 /// One event on a request's private stream channel.
@@ -203,31 +195,16 @@ impl TokenSink for StreamSink {
 /// post-mortem report once shut down (remaining accepted work drains to
 /// completion first, so every accepted stream terminates).
 fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -> FleetReport {
-    let spec = ElasticSpec {
-        events: cfg.events.clone(),
-        ..ElasticSpec::default()
+    let fleet = FleetConfig {
+        max_batch: cfg.max_batch,
+        sched: cfg.sched,
+        elastic: Some(ElasticSpec {
+            events: cfg.events,
+            ..ElasticSpec::default()
+        }),
+        ..FleetConfig::new(cfg.chips, cfg.policy)
     };
-    let extra = spec.extra_configs();
-    let schedule = spec.lower(cfg.chips);
-    let accel = SpAttenConfig::default();
-    let (cost, chips) = if extra.is_empty() {
-        (CostModel::end_to_end(accel, 8), cfg.chips)
-    } else {
-        let mut roster = vec![accel; cfg.chips];
-        roster.extend(extra);
-        let chips = roster.len();
-        (CostModel::heterogeneous(roster, Some(8)), chips)
-    };
-    let mut engine = fleet_engine_policy(
-        cost,
-        chips,
-        cfg.policy,
-        &cfg.sched,
-        None,
-        Some(schedule),
-        cfg.max_batch,
-        accel.clock_ghz,
-    );
+    let mut engine = fleet_engine(&fleet);
     let streams: Streams = Rc::new(RefCell::new(HashMap::new()));
     let tokens = Rc::new(Cell::new(0u64));
     engine.set_sink(Box::new(StreamSink {

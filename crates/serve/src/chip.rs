@@ -631,8 +631,11 @@ impl Chip {
         debug_assert_eq!(self.active.len(), 1, "run-to-completion holds one job");
         let mut a = self.active.pop().expect("resident job");
         let w = &a.job.workload;
-        let total = cost.job_serial_on(self.id, w);
-        let ttft = cost.first_token_on(self.id, w);
+        // A warm shared prefix already advanced `prefill_progress` at
+        // admission (and came off `est_remaining` there): the whole-job
+        // pass skips that head too, exactly like a chunked prefill.
+        let total = cost.job_serial_on(self.id, w) - a.prefill_progress;
+        let ttft = cost.first_token_on(self.id, w) - a.prefill_progress;
         if a.first_token_cycles.is_none() {
             a.first_token_cycles = Some(now + ttft);
         }

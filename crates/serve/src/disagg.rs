@@ -31,7 +31,7 @@
 //!   refuses pinned jobs.
 //!
 //! A [`PoolSpec`] is pure description (roles + wiring); the event loop
-//! in [`sim`](crate::sim) owns the migration mechanics. Chips with role
+//! in [`engine`](crate::engine) owns the migration mechanics. Chips with role
 //! [`PoolRole::Flex`] opt out of migration entirely — an all-`Flex`
 //! spec (or no spec at all) is the co-located baseline, bit-for-bit.
 //!

@@ -5,7 +5,7 @@
 //! spot capacity is revoked on short notice, and cold chips join after
 //! streaming their model weights into HBM. This module describes those
 //! events ([`FleetEvents`]) and the policy seam that emits them at run
-//! time ([`AutoscalePolicy`]); the simulator (`crate::sim`) injects them
+//! time ([`AutoscalePolicy`]); the engine (`crate::engine`) injects them
 //! into its event heap as first-class events, after the arrival stream's
 //! sequence numbers so an empty schedule is bit-for-bit identical to a
 //! fixed-fleet run.

@@ -63,18 +63,19 @@
 //!   charge cross-model placements the weight-swap price, and the
 //!   [`AutoscalePolicy`] seam with a threshold-hysteresis default
 //!   against a reserve fleet.
-//! * [`sim`] — the discrete-event fleet simulator, generic over
-//!   ([`FleetCost`], [`AdmissionPolicy`], [`BatchPolicy`]): every policy
-//!   runs through the one event loop. Drives open-loop (Poisson, MMPP,
-//!   diurnal) and closed-loop traces from `spatten_workloads::trace`.
-//! * [`engine`] — the **resumable engine** ([`FleetEngine`]): the event
-//!   loop paused between events, with an explicit `inject` /
-//!   `step_until` / `drain` step API and a [`TokenSink`] seam that
-//!   surfaces per-token completions ([`TokenEvent`]) as rounds retire.
-//!   `simulate_fleet_with` is a thin replay wrapper over it, bit-for-bit
-//!   identical to the old monolithic loop; the `spatten-frontd` binary
-//!   drives the same engine from live HTTP traffic over a virtual-time
-//!   bridge.
+//! * [`engine`] — the discrete-event fleet simulator, [`FleetEngine`]:
+//!   the one event loop, generic over the five seams, so every policy
+//!   runs through it. It is resumable — an explicit `inject` /
+//!   `step_until` / `drain` step API, [`FleetEngine::replay`] for whole
+//!   open-loop (Poisson, MMPP, diurnal) or closed-loop traces from
+//!   `spatten_workloads::trace` — with a [`TokenSink`] seam that surfaces
+//!   per-token completions ([`TokenEvent`]) as rounds retire. The
+//!   `spatten-frontd` binary drives the same engine from live HTTP
+//!   traffic over a virtual-time bridge.
+//! * [`sim`] — [`FleetConfig`] and its one lowering, [`fleet_engine`];
+//!   [`simulate_fleet`] is `fleet_engine(cfg).replay(trace)`. Custom
+//!   seams skip the config and call [`FleetEngine::new`]; canonical
+//!   policies over any [`FleetCost`] use [`fleet_engine_policy`].
 //! * [`metrics`] — throughput (req/s, tokens/s), goodput, utilization,
 //!   p50/p95/p99 latency / queue-wait / TTFT / time-between-tokens, and
 //!   per-class SLO, priority and preemption accounting, with a JSON
@@ -123,7 +124,9 @@ pub use elastic::{
     AutoscalePolicy, AutoscaleSpec, Availability, ChipJoin, ChipLeave, ElasticChipStats,
     ElasticSchedule, ElasticSpec, FleetEvents, FleetLoadView, LeaveMode, ThresholdHysteresis,
 };
-pub use engine::{fleet_engine_policy, FleetEngine, NullSink, TokenEvent, TokenSink};
+pub use engine::{
+    fleet_engine_policy, ns_to_cycles, FleetEngine, PolicyFleetEngine, TokenEvent, TokenSink,
+};
 pub use kv::{JobKvNeed, KvPager, KvSpec, KvStats, PagedCost};
 pub use metrics::{ChipStats, ClassStats, FleetReport, LiveSnapshot, Percentiles};
 pub use preempt::{NoPreemption, PreemptionPolicy, PriorityPreemption, VictimView};
@@ -138,7 +141,4 @@ pub use scheduler::{
     QueuedJob, RouteSpec, SchedKnobs, Scheduler, SimMode, SjfAdmission, SloAwareAdmission,
     StealSpec,
 };
-pub use sim::{
-    fleet_engine, simulate_fleet, simulate_fleet_policy, simulate_fleet_with, FleetConfig,
-    PolicyFleetEngine,
-};
+pub use sim::{fleet_engine, simulate_fleet, FleetConfig};

@@ -58,15 +58,6 @@ pub struct VictimView {
     pub arrival_cycles: u64,
 }
 
-impl VictimView {
-    /// Decode steps still outstanding (the whole generation while the
-    /// prefill pass is still running).
-    pub fn remaining_steps(&self) -> usize {
-        self.gen_steps
-            .saturating_sub(if self.prefilled { self.steps_done } else { 0 })
-    }
-}
-
 /// The preemption seam: picks resident jobs to evict at a round
 /// boundary, before admission runs.
 ///

@@ -59,9 +59,9 @@
 //! pairings and builds boxed policy objects for runtime sweeps; routing,
 //! stealing and preemption compose with *any* of them through
 //! [`SchedKnobs::route`], [`SchedKnobs::steal`] and
-//! [`SchedKnobs::preempt`]. The simulator itself
-//! ([`crate::sim::simulate_fleet_with`]) is generic and accepts any
-//! trait implementation.
+//! [`SchedKnobs::preempt`]. The engine itself
+//! ([`FleetEngine::new`](crate::engine::FleetEngine::new)) is generic and
+//! accepts any trait implementation.
 
 use crate::batch::{BatchPolicy, DecodePrioritizedBatch, IterationBatch, RunToCompletion};
 use crate::cost::FleetCost;

@@ -340,10 +340,13 @@ proptest! {
     }
 
     /// Paged KV page accounting balances under the full scheduling
-    /// composition: routing × work-stealing × priority preemption on a
-    /// mixed 2-full + 2-eighth fleet, over the high-prefix-reuse chat
-    /// mix. At drain every chip's pager returns every block it handed
-    /// out (`blocks_allocated == blocks_freed`) — the pager itself
+    /// composition: every canonical policy × routing × work-stealing ×
+    /// priority preemption on a mixed 2-full + 2-eighth fleet, over the
+    /// high-prefix-reuse chat mix (run-to-completion policies included:
+    /// their whole-job rounds must skip a warm prefix head exactly as
+    /// chunked prefill does, or the in-service estimate drifts). At
+    /// drain every chip's pager returns every block it handed out
+    /// (`blocks_allocated == blocks_freed`) — the pager itself
     /// asserts zero refcounts and an empty page-table map inside the
     /// event loop, so admission, eviction, resumption, stealing,
     /// mid-decode reclaim and cache eviction all have to conserve pages
@@ -355,9 +358,11 @@ proptest! {
         requests in 40usize..140,
         rate in 100.0f64..4000.0,
         seed in 0u64..1000,
+        policy_pick in 0usize..Policy::ALL.len(),
         route_pick in 0usize..4,
         steal_pick in 0usize..2,
     ) {
+        let policy = Policy::ALL[policy_pick];
         let route = [
             RouteSpec::FastestChip,
             RouteSpec::ChurnAware,
@@ -377,7 +382,7 @@ proptest! {
             SpAttenConfig::eighth(),
             SpAttenConfig::eighth(),
         ];
-        let mut cfg = FleetConfig::with_chips(chips.clone(), Policy::Priority);
+        let mut cfg = FleetConfig::with_chips(chips.clone(), policy);
         cfg.sched.route = route;
         cfg.sched.steal = steal;
         cfg.sched.preempt = PreemptSpec::Priority;

@@ -138,13 +138,6 @@ pub struct Workload {
     pub seed: u64,
 }
 
-impl Workload {
-    /// Whether this models the generation stage at all.
-    pub fn is_generative(&self) -> bool {
-        self.gen_steps > 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
