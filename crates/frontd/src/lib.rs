@@ -62,6 +62,13 @@ use spatten_workloads::{Benchmark, TraceRequest};
 
 pub mod selftest;
 
+/// The most tokens (`prompt_tokens + gen_tokens`) one request may ask
+/// for. The cost memo keeps a dense row per request class indexed by
+/// sequence length, so an unbounded length is an unbounded allocation
+/// on the engine thread; longer requests get `400` before they reach
+/// the engine.
+pub const MAX_REQUEST_TOKENS: u64 = 8192;
+
 /// Serving-fleet shape and bridge tuning for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -448,11 +455,25 @@ fn handle_generate(stream: TcpStream, cmd: &Sender<Command>, body: &[u8]) -> io:
     let prompt = doc
         .get("prompt_tokens")
         .and_then(JsonValue::as_u64)
-        .unwrap_or(128) as usize;
+        .unwrap_or(128);
     let gen = doc
         .get("gen_tokens")
         .and_then(JsonValue::as_u64)
-        .unwrap_or(32) as usize;
+        .unwrap_or(32);
+    if prompt.saturating_add(gen) > MAX_REQUEST_TOKENS {
+        return respond_json(
+            stream,
+            400,
+            "Bad Request",
+            &JsonObject::new()
+                .str(
+                    "error",
+                    &format!("prompt_tokens + gen_tokens exceeds {MAX_REQUEST_TOKENS}"),
+                )
+                .build(),
+        );
+    }
+    let (prompt, gen) = (prompt as usize, gen as usize);
     let slo_ns = doc
         .get("slo_ms")
         .and_then(JsonValue::as_f64)

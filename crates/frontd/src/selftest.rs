@@ -357,8 +357,28 @@ mod tests {
             .expect("error JSON")
             .get("error")
             .is_some());
+        // A length no chip could serve is refused before it reaches the
+        // engine, and the server keeps serving afterwards.
+        let huge = JsonObject::new()
+            .u64("prompt_tokens", 2_000_000_000)
+            .u64("gen_tokens", 4)
+            .build();
+        let (code, body) = simple_post(addr, "/v1/generate", &huge).expect("oversized post");
+        assert_eq!(code, 400);
+        assert!(json::parse(&body)
+            .expect("error JSON")
+            .get("error")
+            .is_some());
+        let normal = JsonObject::new()
+            .u64("prompt_tokens", 32)
+            .u64("gen_tokens", 4)
+            .build();
+        assert_eq!(
+            simple_post(addr, "/v1/generate", &normal).map(|r| r.0),
+            Ok(200)
+        );
         let report = server.shutdown();
-        assert_eq!(report.completed, 0);
+        assert_eq!(report.completed, 1);
     }
 
     #[test]

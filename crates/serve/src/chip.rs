@@ -118,6 +118,12 @@ pub struct Chip {
     /// while planning an iteration). Rounds fire millions of times per
     /// trace — these buffers keep the hot loop allocation-free.
     views_scratch: Vec<ResidentView>,
+    /// Each resident's next step as priced for its view this round: the
+    /// whole prefill pass, or the next decode token. The iteration
+    /// reuses these instead of asking the oracle again. Valid for one
+    /// round only — a batch-aware oracle prices against the live depth
+    /// ([`FleetCost::note_batch`]).
+    priced_scratch: Vec<StepCost>,
     done_scratch: Vec<usize>,
     emitters_scratch: Vec<usize>,
     weights_scratch: Vec<(ModelConfig, u64)>,
@@ -151,6 +157,7 @@ impl Chip {
             churn: 0.0,
             churn_seen: 0,
             views_scratch: Vec::new(),
+            priced_scratch: Vec::new(),
             done_scratch: Vec::new(),
             emitters_scratch: Vec::new(),
             weights_scratch: Vec::new(),
@@ -552,14 +559,17 @@ impl Chip {
         let id = self.id;
         let mut views = std::mem::take(&mut self.views_scratch);
         views.clear();
+        self.priced_scratch.clear();
         for a in &self.active {
             let w = &a.job.workload;
             let (prefill_remaining, next_decode) = if a.prefilled {
                 let step = cost.decode_on(id, w, w.seq_len + a.steps_done + 1);
+                self.priced_scratch.push(step);
                 (0, step.serial_cycles)
             } else {
-                let total = cost.prefill_on(id, w).serial_cycles;
-                (total - a.prefill_progress, 0)
+                let total = cost.prefill_on(id, w);
+                self.priced_scratch.push(total);
+                (total.serial_cycles - a.prefill_progress, 0)
             };
             views.push(ResidentView {
                 arrival_cycles: a.job.arrival_cycles,
@@ -696,6 +706,7 @@ impl Chip {
         done.clear();
         let mut first_emitters = std::mem::take(&mut self.emitters_scratch);
         first_emitters.clear();
+        let priced = std::mem::take(&mut self.priced_scratch);
         let id = self.id;
         // Token events recorded this round; their emit time is the
         // round's end, patched in once the batch's cycles are known.
@@ -713,7 +724,7 @@ impl Chip {
                 RoundStep::WholeJob => panic!("whole-job step inside a batched round"),
                 RoundStep::Prefill { chunk_cycles } => {
                     assert!(!a.prefilled, "prefill step for a prefilled job");
-                    let total = cost.prefill_on(id, w);
+                    let total = priced[i];
                     let remaining = total.serial_cycles - a.prefill_progress;
                     let chunk = remaining.min((*chunk_cycles).max(1));
                     a.prefill_progress += chunk;
@@ -741,7 +752,7 @@ impl Chip {
                     let remaining = w.gen_steps.saturating_sub(a.steps_done);
                     let burst = (*steps).max(1).min(remaining.max(1));
                     let mut step = StepCost::default();
-                    for _ in 0..burst {
+                    for t in 0..burst {
                         a.steps_done += 1;
                         // Cascade pruning retires tokens as decode
                         // proceeds: under paging, whole blocks return to
@@ -750,7 +761,13 @@ impl Chip {
                             a.footprint = p.reclaim(a.job.id, a.steps_done as u64);
                             self.kv_in_use = p.pinned_bytes();
                         }
-                        let s = cost.decode_on(id, w, w.seq_len + a.steps_done);
+                        // The burst's first token is the step the view
+                        // priced.
+                        let s = if t == 0 {
+                            priced[i]
+                        } else {
+                            cost.decode_on(id, w, w.seq_len + a.steps_done)
+                        };
                         step.compute_cycles += s.compute_cycles;
                         step.dram_cycles += s.dram_cycles;
                         step.weight_dram_cycles += s.weight_dram_cycles;
@@ -836,6 +853,7 @@ impl Chip {
         self.weights_scratch = shared_weights;
         self.done_scratch = done;
         self.emitters_scratch = first_emitters;
+        self.priced_scratch = priced;
         cycles
     }
 

@@ -6,11 +6,27 @@
 //! chip round boundaries. At every round boundary a chip retires
 //! whatever its round finished, asks the admission policy for admissions
 //! (and records anything the policy shed), and — if it holds any
-//! resident jobs — starts the round its batch policy plans. Idle chips
-//! are woken by arrivals. Everything is deterministic: the event queue
-//! breaks time ties by a monotonic sequence number, chips are polled in
-//! index order, and every stochastic draw happened at trace-generation
-//! time.
+//! resident jobs — starts the round its batch policy plans. Everything
+//! is deterministic: the event queue breaks time ties by a monotonic
+//! sequence number, chips are polled in index order, and every
+//! stochastic draw happened at trace-generation time.
+//!
+//! Polling a chip (a *kick*: preemption, admission, stealing, then its
+//! next round) is the engine's hot path, so each event polls only the
+//! chips it can affect:
+//!
+//! * an arrival, a leave notice or a revocation cutoff — every chip;
+//! * a round end — its own chip, plus the others only under
+//!   [`StealSpec::CostliestFit`] (a victim re-queued at the front of
+//!   this chip's queue can make stealing from it newly profitable);
+//! * a KV handoff arrival — its target;
+//! * a join — the joining chip.
+//!
+//! This is sound because of one invariant: an online chip with no round
+//! in flight and no residents has nothing queued for it, neither in its
+//! private queue nor in the shared queue. Without stealing, a round end
+//! only adds to its own chip's queue and only takes from the shared
+//! queue, so it gives no other chip anything new to do.
 //!
 //! The loop is generic over five seams: the cost oracle ([`FleetCost`]
 //! — physical chips here, sharded groups in `spatten-cluster`), the
@@ -426,6 +442,9 @@ pub struct FleetEngine<
     mode: SimMode,
     cost: C,
     scheduler: Scheduler<A, R>,
+    /// The work-stealing knob (also handed to the scheduler): whether a
+    /// round end polls every chip or only its own.
+    steal: StealSpec,
     batch: B,
     preempt: P,
     chips: Vec<Chip>,
@@ -572,6 +591,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             mode: SimMode::Serial,
             cost,
             scheduler,
+            steal,
             batch,
             preempt,
             chips: chip_vec,
@@ -1083,11 +1103,12 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         // Preemption runs before admission: the policy sees the chip's
         // candidates (private + shared queue) and its resident set, and
         // may clear room. The snapshot is skipped outright when the
-        // policy never evicts, or there is nothing to evict or nothing
-        // queued to evict for — this path runs on every kick.
+        // policy never evicts, or there is nothing to evict, or nothing
+        // is queued for this chip (its private queue or the shared
+        // queue) to evict for — this path runs on every kick.
         let victims = if self.preempt.may_preempt()
             && self.chips[chip_idx].active_jobs() > 0
-            && self.scheduler.pending() > 0
+            && self.scheduler.queued_len_for(chip_idx) > 0
         {
             let cap = self.capacity(chip_idx);
             let views = self.chips[chip_idx].victim_views();
@@ -1559,12 +1580,19 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
                 // just retired leave for the decode pool before this
                 // chip can plan another round around them.
                 self.migrate_graduates(chip_idx, now);
-                // The freed capacity may unblock any chip's admission
-                // (shared queue), so poll them all, this one first.
                 self.kick(chip_idx, now);
-                for other in 0..self.chips.len() {
-                    if other != chip_idx {
-                        self.kick(other, now);
+                // Only stealing lets a round end change what a peer can
+                // do: a victim preemption just pushed to the front of
+                // this chip's queue can make stealing the jobs behind it
+                // newly profitable. Without stealing, peers are left
+                // alone — the freed KV and slots are this chip's, the
+                // shared queue only shrank, and an idle online peer has
+                // nothing queued for it.
+                if self.steal != StealSpec::Off {
+                    for other in 0..self.chips.len() {
+                        if other != chip_idx {
+                            self.kick(other, now);
+                        }
                     }
                 }
             }
@@ -1673,6 +1701,7 @@ pub fn fleet_engine_policy<C: FleetCost>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::RouteSpec;
     use spatten_core::{SpAttenConfig, StepCost};
     use spatten_workloads::{ArrivalSpec, TraceSpec};
     use std::cell::Cell;
@@ -1742,5 +1771,128 @@ mod tests {
             assert_eq!(engine.replay(&trace).completed, 30);
             assert_eq!(prewarms.get(), expected, "{mode:?}");
         }
+    }
+
+    /// The premise behind waking only the chip whose round ended: an
+    /// online chip with no round in flight and no residents has nothing
+    /// queued for it — neither in its private queue nor in the shared
+    /// queue. If it had, a peer's round end would be the only thing
+    /// left to wake it.
+    fn assert_idle_chips_have_no_queued_work(engine: &PolicyFleetEngine, cell: &str) {
+        for (c, chip) in engine.chips.iter().enumerate() {
+            if engine.elastic.avail[c] == Availability::Online
+                && !chip.is_in_flight()
+                && chip.active_jobs() == 0
+            {
+                assert_eq!(
+                    engine.scheduler.queued_len_for(c),
+                    0,
+                    "{cell}: idle online chip {c} has work queued for it at t={}",
+                    engine.now()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn idle_online_chips_never_have_work_queued_for_them() {
+        // Two tiers in each trace, so priority preemption has victims.
+        let mut mixed = TraceSpec::mixed(
+            ArrivalSpec::OpenPoisson {
+                rate_rps: 4000.0,
+                requests: 24,
+            },
+            3,
+        );
+        mixed.classes[0] = mixed.classes[0].clone().with_priority(3);
+        let mut chat = TraceSpec::disagg_chat(
+            ArrivalSpec::OpenPoisson {
+                rate_rps: 2000.0,
+                requests: 16,
+            },
+            4,
+        );
+        chat.classes[0] = chat.classes[0].clone().with_priority(2);
+        let traces = [
+            ("mixed", mixed.generate()),
+            ("disagg_chat", chat.generate()),
+        ];
+        // Full and eighth-scale chips in each pool, so a job can fit one
+        // idle chip and not another. One memo, priced once and cloned
+        // into every cell (memo values are pure functions of their key).
+        let full = SpAttenConfig::default();
+        let roster = vec![full, SpAttenConfig::eighth(), full, SpAttenConfig::eighth()];
+        let mut warm = CostModel::heterogeneous(roster, Some(8));
+        for (_, trace) in &traces {
+            let Trace::Open { requests } = trace else {
+                unreachable!("open-loop traces")
+            };
+            warm.prewarm(&mut requests.iter().map(|r| &r.workload), 1);
+        }
+        let routes = [
+            (RouteSpec::SharedQueue, None),
+            (RouteSpec::FastestChip, None),
+            (RouteSpec::PoolAware, Some(PoolSpec::split(2, 2))),
+        ];
+        let (mut preemptions, mut steals) = (0, 0);
+        for (name, trace) in &traces {
+            let Trace::Open { requests } = trace else {
+                unreachable!("open-loop traces")
+            };
+            for policy in Policy::ALL {
+                for (route, pools) in &routes {
+                    for steal in [StealSpec::Off, StealSpec::CostliestFit] {
+                        for preempt in [PreemptSpec::None, PreemptSpec::Priority] {
+                            for kv in [KvSpec::Contiguous, KvSpec::paged()] {
+                                let cell = format!(
+                                    "{name} {} {} steal={} preempt={} kv={}",
+                                    policy.name(),
+                                    route.name(),
+                                    steal.name(),
+                                    preempt.name(),
+                                    kv.name()
+                                );
+                                let knobs = SchedKnobs {
+                                    route: *route,
+                                    steal,
+                                    preempt,
+                                    kv,
+                                    ..SchedKnobs::default()
+                                };
+                                let mut engine = fleet_engine_policy(
+                                    warm.clone(),
+                                    4,
+                                    policy,
+                                    &knobs,
+                                    pools.clone(),
+                                    None,
+                                    8,
+                                    full.clock_ghz,
+                                );
+                                for req in requests {
+                                    engine.inject(req);
+                                    while engine.pending.len() > 1 && engine.step() {
+                                        assert_idle_chips_have_no_queued_work(&engine, &cell);
+                                    }
+                                }
+                                while engine.step() {
+                                    assert_idle_chips_have_no_queued_work(&engine, &cell);
+                                }
+                                let report = engine.drain();
+                                assert_eq!(
+                                    report.completed + report.rejected,
+                                    requests.len(),
+                                    "{cell}"
+                                );
+                                preemptions += report.preemptions;
+                                steals += report.chip_stats.iter().map(|c| c.steals).sum::<u64>();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The grid must reach the seams that move work between queues.
+        assert!(preemptions > 0 && steals > 0, "{preemptions} / {steals}");
     }
 }

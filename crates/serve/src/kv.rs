@@ -232,6 +232,10 @@ pub struct KvPager {
     free_blocks: u64,
     jobs: HashMap<u64, JobPages>,
     prefixes: HashMap<PrefixKey, PrefixEntry>,
+    /// Blocks held by refcount-0 entries of `prefixes`, updated wherever
+    /// a refcount crosses zero or the cache is trimmed — every fit check
+    /// reads it, so it is kept rather than summed per call.
+    cached_blocks: u64,
     /// Cumulative counters.
     pub stats: KvStats,
 }
@@ -248,6 +252,7 @@ impl KvPager {
             free_blocks: total_blocks,
             jobs: HashMap::new(),
             prefixes: HashMap::new(),
+            cached_blocks: 0,
             stats: KvStats::default(),
         }
     }
@@ -265,11 +270,16 @@ impl KvPager {
     /// Blocks held by refcount-0 (cached) prefixes — resident but
     /// reclaimable under pressure.
     pub fn cached_blocks(&self) -> u64 {
-        self.prefixes
-            .values()
-            .filter(|e| e.refcount == 0)
-            .map(|e| e.blocks)
-            .sum()
+        debug_assert_eq!(
+            self.cached_blocks,
+            self.prefixes
+                .values()
+                .filter(|e| e.refcount == 0)
+                .map(|e| e.blocks)
+                .sum::<u64>(),
+            "cached-block count out of step with the prefix map"
+        );
+        self.cached_blocks
     }
 
     /// Bytes an admission fit-check may assume: the free pool plus
@@ -388,6 +398,7 @@ impl KvPager {
             if entry.blocks == 0 {
                 self.prefixes.remove(&key);
             }
+            self.cached_blocks -= trim;
             self.free_blocks += trim;
             self.stats.blocks_freed += trim;
             self.stats.cache_evicted_blocks += trim;
@@ -431,6 +442,10 @@ impl KvPager {
             if entry.refcount > 0 || entry.blocks > 0 {
                 entry.hits += 1;
                 self.stats.shared_hits += 1;
+            }
+            if entry.refcount == 0 {
+                // Pinning a cached entry takes its blocks out of the cache.
+                self.cached_blocks -= entry.blocks;
             }
             entry.blocks += missing;
             entry.refcount += 1;
@@ -478,6 +493,9 @@ impl KvPager {
             assert!(entry.refcount > 0, "prefix refcount underflow");
             entry.refcount -= 1;
             entry.last_use = now;
+            if entry.refcount == 0 {
+                self.cached_blocks += entry.blocks;
+            }
         }
     }
 
@@ -514,6 +532,7 @@ impl KvPager {
         self.stats.blocks_freed += cached;
         self.free_blocks += cached;
         self.prefixes.clear();
+        self.cached_blocks = 0;
         assert_eq!(
             self.free_blocks, self.total_blocks,
             "pager drained with blocks still held"

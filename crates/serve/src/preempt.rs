@@ -5,9 +5,10 @@
 //! capacity; once a chip's batch is full of long low-priority
 //! generations, a latency-critical arrival waits for one of them to
 //! *finish* — exactly the head-of-line blocking tail latency dies of. A
-//! [`PreemptionPolicy`] runs at every round boundary, *before*
-//! admission: it sees the queue and the resident set and may evict
-//! residents mid-decode. Eviction is not free and not destructive:
+//! [`PreemptionPolicy`] runs at round boundaries, *before* admission,
+//! whenever the chip holds residents and work is queued for it: it sees
+//! the queue and the resident set and may evict residents mid-decode.
+//! Eviction is not free and not destructive:
 //!
 //! * The victim's KV working set is **drained to HBM** and later
 //!   **restored**, each direction priced by
@@ -111,6 +112,10 @@ pub trait PreemptionPolicy: fmt::Debug {
     /// Picks victims among `residents` of chip `chip` at time `now`,
     /// given the jobs `queued` for it (its private queue first, then the
     /// shared queue, each in arrival order) and its free capacity `cap`.
+    ///
+    /// Called only when at least one job is queued for the chip and at
+    /// least one job is resident: `queued` and `residents` are never
+    /// empty.
     fn victims(
         &mut self,
         queued: &[&Job],

@@ -952,6 +952,12 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         self.routed[chip].len()
     }
 
+    /// Jobs `chip` could admit: its private queue plus the shared queue
+    /// — the length of [`Scheduler::queued_for`], in O(1).
+    pub fn queued_len_for(&self, chip: usize) -> usize {
+        self.routed[chip].len() + self.shared.len()
+    }
+
     /// Serial-cycle backlog estimate of `chip`'s private queue.
     pub fn pending_cycles_on(&self, chip: usize) -> u64 {
         self.pending_cycles[chip]
