@@ -45,7 +45,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -68,6 +68,20 @@ pub mod selftest;
 /// on the engine thread; longer requests get `400` before they reach
 /// the engine.
 pub const MAX_REQUEST_TOKENS: u64 = 8192;
+
+/// The longest request line or header line an acceptor reads, CRLF
+/// included; a longer one is answered `431`.
+const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// The most header lines one request may carry; more are answered `431`.
+const MAX_HEADERS: usize = 100;
+
+/// The largest request body; a longer `Content-Length` is answered `413`.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// How long a refused connection lingers to read what the client is
+/// still sending, so the refusal is not lost to a connection reset.
+const REFUSAL_LINGER: Duration = Duration::from_secs(1);
 
 /// Serving-fleet shape and bridge tuning for one server instance.
 #[derive(Debug, Clone)]
@@ -375,49 +389,107 @@ struct HttpRequest {
     body: Vec<u8>,
 }
 
+/// What an acceptor made of a connection's first bytes.
+enum Incoming {
+    /// A complete request to route.
+    Request(HttpRequest),
+    /// A request refused before routing: status, reason phrase, error.
+    Refused(u16, &'static str, &'static str),
+    /// The client closed, or sent no request line: nothing to answer.
+    Closed,
+}
+
 /// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
-/// body). Returns `None` on an immediately closed connection.
-fn read_request(stream: &mut TcpStream) -> io::Result<Option<HttpRequest>> {
+/// body). Every read is bounded — [`MAX_LINE_BYTES`] per line,
+/// [`MAX_HEADERS`] lines, [`MAX_BODY_BYTES`] of body — so no client can
+/// make an acceptor hold more than that, however long it keeps sending.
+fn read_request(stream: &TcpStream) -> io::Result<Incoming> {
+    const TOO_LARGE: &str = "Request Header Fields Too Large";
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+    if !read_line(&mut reader, &mut line)? {
+        return Ok(Incoming::Refused(431, TOO_LARGE, "request line over 8 KiB"));
     }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-        return Ok(None);
+        return Ok(Incoming::Closed);
     };
     let (method, path) = (method.to_string(), path.to_string());
-    let mut content_length: usize = 0;
+    let mut content_length = 0;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
+        if !read_line(&mut reader, &mut line)? {
+            return Ok(Incoming::Refused(431, TOO_LARGE, "header line over 8 KiB"));
         }
-        let header = header.trim();
+        let header = line.trim();
         if header.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Ok(Incoming::Refused(431, TOO_LARGE, "more than 100 headers"));
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                let Ok(len) = value.trim().parse() else {
+                    return Ok(Incoming::Refused(400, "Bad Request", "bad Content-Length"));
+                };
+                if len > MAX_BODY_BYTES {
+                    return Ok(Incoming::Refused(
+                        413,
+                        "Payload Too Large",
+                        "body over 1 MiB",
+                    ));
+                }
+                content_length = len;
             }
         }
     }
-    // 1 MiB cap: request bodies here are tiny JSON objects.
-    let mut body = vec![0u8; content_length.min(1 << 20)];
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(HttpRequest { method, path, body }))
+    Ok(Incoming::Request(HttpRequest { method, path, body }))
 }
 
-fn handle_connection(mut stream: TcpStream, cmd: &Sender<Command>) -> io::Result<()> {
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line` (cleared
+/// first; empty at end of stream). Returns `false` if the line is longer.
+fn read_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
+    line.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_line(line)?;
+    Ok(n < MAX_LINE_BYTES || line.ends_with('\n'))
+}
+
+/// Answers a refused request, then lingers for at most
+/// [`REFUSAL_LINGER`], reading and dropping whatever the client is still
+/// sending: closing with those bytes unread would reset the connection
+/// before the client reads the answer.
+fn refuse(stream: TcpStream, code: u16, reason: &str, error: &str) -> io::Result<()> {
+    let body = JsonObject::new().str("error", error).build();
+    respond_json(stream.try_clone()?, code, reason, &body)?;
+    stream.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + REFUSAL_LINGER;
+    let mut scratch = [0u8; 4096];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        stream.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+        if matches!((&stream).read(&mut scratch), Ok(0) | Err(_)) {
+            break;
+        }
+    }
+    Ok(())
+}
+
+fn handle_connection(stream: TcpStream, cmd: &Sender<Command>) -> io::Result<()> {
     // Accepted sockets may inherit the listener's non-blocking mode on
     // some platforms; handlers want plain blocking reads with a bound.
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true)?;
-    let Some(req) = read_request(&mut stream)? else {
-        return Ok(());
+    let req = match read_request(&stream)? {
+        Incoming::Request(req) => req,
+        Incoming::Refused(code, reason, error) => return refuse(stream, code, reason, error),
+        Incoming::Closed => return Ok(()),
     };
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/generate") => handle_generate(stream, cmd, &req.body),

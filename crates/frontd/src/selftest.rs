@@ -192,15 +192,26 @@ fn parse_stream(payload: &str) -> ClientOutcome {
     ClientOutcome::Broken("stream ended without a terminal record".into())
 }
 
-/// Sends one HTTP request and returns `(status, decoded body)`. Retries
-/// the connect a few times — a cold accept queue under a 200-client
-/// stampede may bounce the first SYN.
+/// Sends one HTTP request and returns `(status, decoded body)`.
 fn request(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
 ) -> Result<(u16, String), String> {
+    let raw = format!(
+        "{method} {path} HTTP/1.1\r\nHost: localhost\r\n\
+         Content-Type: application/json\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    exchange(addr, raw.as_bytes())
+}
+
+/// Sends `request` as is and returns `(status, decoded body)`. Retries
+/// the connect a few times — a cold accept queue under a 200-client
+/// stampede may bounce the first SYN.
+fn exchange(addr: SocketAddr, request: &[u8]) -> Result<(u16, String), String> {
     let mut last_err = String::new();
     for attempt in 0..20 {
         match TcpStream::connect_timeout(&addr.to_owned(), Duration::from_secs(2)) {
@@ -209,14 +220,7 @@ fn request(
                     .set_read_timeout(Some(Duration::from_secs(120)))
                     .map_err(|e| e.to_string())?;
                 let _ = stream.set_nodelay(true);
-                write!(
-                    stream,
-                    "{method} {path} HTTP/1.1\r\nHost: localhost\r\n\
-                     Content-Type: application/json\r\nContent-Length: {}\r\n\
-                     Connection: close\r\n\r\n{body}",
-                    body.len()
-                )
-                .map_err(|e| e.to_string())?;
+                stream.write_all(request).map_err(|e| e.to_string())?;
                 let mut raw = Vec::new();
                 stream.read_to_end(&mut raw).map_err(|e| e.to_string())?;
                 return decode_response(&raw);
@@ -379,6 +383,72 @@ mod tests {
         );
         let report = server.shutdown();
         assert_eq!(report.completed, 1);
+    }
+
+    #[test]
+    fn oversized_and_malformed_requests_are_refused_and_serving_continues() {
+        use crate::{MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES};
+        let server = Server::start(
+            ServerConfig {
+                chips: 1,
+                time_scale: 4.0,
+                workers: 2,
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = server.addr();
+        let long = "a".repeat(MAX_LINE_BYTES);
+        let headers = |n: usize| -> String { (0..n).map(|i| format!("X-{i}: v\r\n")).collect() };
+        let refused = [
+            (
+                format!("GET /{long} HTTP/1.1\r\n\r\n"),
+                431,
+                "request line over 8 KiB",
+            ),
+            (
+                format!("GET /healthz HTTP/1.1\r\nX-Long: {long}\r\n\r\n"),
+                431,
+                "header line over 8 KiB",
+            ),
+            (
+                format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS + 1)),
+                431,
+                "more than 100 headers",
+            ),
+            (
+                "GET /healthz HTTP/1.1\r\nContent-Length: ten\r\n\r\n".to_string(),
+                400,
+                "bad Content-Length",
+            ),
+            (
+                format!(
+                    "POST /v1/generate HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                    MAX_BODY_BYTES + 1
+                ),
+                413,
+                "body over 1 MiB",
+            ),
+        ];
+        for (raw, code, error) in &refused {
+            let (got, body) = exchange(addr, raw.as_bytes()).expect("refusal");
+            assert_eq!(got, *code, "{error}");
+            let doc = json::parse(&body).expect("error JSON");
+            assert_eq!(doc.get("error").and_then(JsonValue::as_str), Some(*error));
+        }
+        // Exactly at the header cap is still a request.
+        let at_cap = format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS));
+        assert_eq!(exchange(addr, at_cap.as_bytes()).map(|r| r.0), Ok(200));
+        // The refusals left the server serving: a normal POST streams.
+        let normal = JsonObject::new()
+            .u64("prompt_tokens", 32)
+            .u64("gen_tokens", 4)
+            .build();
+        let (code, payload) = simple_post(addr, "/v1/generate", &normal).expect("post");
+        assert_eq!(code, 200);
+        assert_eq!(parse_stream(&payload), ClientOutcome::Streamed { total: 4 });
+        assert_eq!(server.shutdown().completed, 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::batch::{BatchPolicy, ResidentView, RoundStep};
 use crate::cost::FleetCost;
 use crate::engine::TokenEvent;
-use crate::kv::{JobKvNeed, KvPager};
+use crate::kv::ChipKv;
 use crate::preempt::VictimView;
 use crate::request::{Completion, Job, ResumeState};
 use crate::scheduler::remaining_cycles_on;
@@ -79,7 +79,8 @@ pub struct Chip {
     /// Chip index within the fleet.
     pub id: usize,
     active: Vec<Active>,
-    kv_in_use: u64,
+    /// The chip's KV store, contiguous or paged.
+    kv: ChipKv,
     /// Completions produced by the in-flight round (drained when it ends).
     finished: Vec<Completion>,
     /// Whether a round is currently executing.
@@ -137,12 +138,12 @@ pub struct Chip {
 }
 
 impl Chip {
-    /// An idle chip.
-    pub fn new(id: usize) -> Self {
+    /// An idle chip holding its KV in `kv`.
+    pub fn new(id: usize, kv: ChipKv) -> Self {
         Self {
             id,
             active: Vec::new(),
-            kv_in_use: 0,
+            kv,
             finished: Vec::new(),
             in_flight: false,
             busy_cycles: 0,
@@ -187,9 +188,20 @@ impl Chip {
         self.active.len()
     }
 
-    /// KV SRAM bytes currently reserved.
-    pub fn kv_in_use(&self) -> u64 {
-        self.kv_in_use
+    /// The chip's KV store, for bytes in use, fit checks, free bytes and
+    /// handoff pricing. Only the chip maps and unmaps through it.
+    pub fn kv(&self) -> &ChipKv {
+        &self.kv
+    }
+
+    /// End-of-run check that every KV reservation was released
+    /// ([`ChipKv::assert_drained`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any leak.
+    pub fn assert_kv_drained(&mut self) {
+        self.kv.assert_drained();
     }
 
     /// Remaining estimated serial cycles of the resident set — the
@@ -210,11 +222,6 @@ impl Chip {
     /// Whether a round is executing right now.
     pub fn is_in_flight(&self) -> bool {
         self.in_flight
-    }
-
-    /// Whether the chip has left the fleet (see [`Chip::leave`]).
-    pub fn has_left(&self) -> bool {
-        self.left
     }
 
     /// Takes the chip out of the fleet: a completed drain, an executed
@@ -254,16 +261,14 @@ impl Chip {
     /// [`FleetCost::swap_cycles_on`] and charged to the next round — and
     /// resumes exactly where it stopped.
     ///
-    /// Under paged allocation (`pager` is `Some`) the job maps a page
-    /// table instead of a contiguous reservation: shared prefix blocks
-    /// are pinned copy-on-write (charged once per chip), the resident
-    /// footprint is the job's *unique* bytes, and a resumed victim's
-    /// swap-in moves only those unique pages — its shared prefix never
-    /// left the chip. A **warm** prefix (blocks an earlier sharer or a
-    /// persisted cache entry materialized) also skips the matching head
-    /// of the prefill pass: the KV those tokens would compute already
-    /// sits in SRAM, so prefill resumes at the suffix — the latency half
-    /// of prefix caching, on top of the capacity half.
+    /// The job maps into the chip's [`ChipKv`]. Paged, shared prefix
+    /// blocks are pinned copy-on-write (charged once per chip), the
+    /// resident footprint is the job's *unique* bytes, and a resumed
+    /// victim's swap-in moves only those unique pages — its shared prefix
+    /// never left the chip. A **warm** prefix also skips the matching
+    /// head of the prefill pass: the KV those tokens would compute
+    /// already sits in SRAM, so prefill resumes at the suffix — the
+    /// latency half of prefix caching, on top of the capacity half.
     ///
     /// # Panics
     ///
@@ -274,13 +279,7 @@ impl Chip {
     /// swapped-out KV prefix lives in that chip's HBM, so routing or
     /// work-stealing migrating it here would silently corrupt the swap
     /// accounting.
-    pub fn admit<C: FleetCost>(
-        &mut self,
-        cost: &mut C,
-        pager: Option<&mut KvPager>,
-        mut job: Job,
-        now: u64,
-    ) {
+    pub fn admit<C: FleetCost>(&mut self, cost: &mut C, mut job: Job, now: u64) {
         assert!(!self.in_flight, "admission mid-round");
         assert!(
             !self.left,
@@ -288,40 +287,8 @@ impl Chip {
             job.id, self.id
         );
         let est_remaining = remaining_cycles_on(cost, self.id, &job);
-        let mut prefix_skip = 0u64;
-        let paged_unique = match pager {
-            Some(p) => {
-                let need = JobKvNeed::of(cost, self.id, &job);
-                // A warm prefix is KV an earlier sharer already computed:
-                // this job's prefill resumes at the suffix instead of
-                // recomputing the shared head. Capped a cycle short of
-                // the full pass so even a fully-cached prompt executes
-                // one chunk (its completion stays a round event).
-                let (warm, prefix_total) = p.warm_prefix_blocks(&need);
-                if warm > 0 {
-                    let w = &job.workload;
-                    let total = cost.prefill_on(self.id, w).serial_cycles;
-                    let warm_tokens =
-                        job.shared_prefix_tokens.min(w.seq_len) as u64 * warm / prefix_total;
-                    prefix_skip = (total * warm_tokens / w.seq_len.max(1) as u64)
-                        .min(total.saturating_sub(1));
-                }
-                let steps = job.resume.map_or(0, |r| r.steps_done as u64);
-                let unique = p.map_job(job.id, need, steps, now);
-                self.kv_in_use = p.pinned_bytes();
-                Some(unique)
-            }
-            None => None,
-        };
-        let footprint = match paged_unique {
-            Some(unique) => unique,
-            None => {
-                let f = cost.footprint_on(self.id, &job.workload);
-                self.kv_in_use += f;
-                f
-            }
-        };
-        self.max_kv_in_use = self.max_kv_in_use.max(self.kv_in_use);
+        let (footprint, prefix_skip) = self.kv.map(cost, self.id, &job, now);
+        self.max_kv_in_use = self.max_kv_in_use.max(self.kv.in_use());
         let active = match job.resume.take() {
             Some(r) => {
                 assert_eq!(
@@ -331,13 +298,7 @@ impl Chip {
                     job.id, r.chip, self.id
                 );
                 let w = &job.workload;
-                self.pending_swap_cycles += match paged_unique {
-                    Some(unique) => cost.swap_bytes_cycles_on(self.id, w, unique),
-                    None => {
-                        let tokens = r.kv_tokens(w, cost.prefill_on(self.id, w).serial_cycles);
-                        cost.swap_cycles_on(self.id, w, tokens)
-                    }
-                };
+                self.pending_swap_cycles += self.kv.swap_cycles(cost, self.id, w, &r, footprint);
                 // A victim resuming onto a still-warm prefix may land
                 // ahead of where its own prefill stopped.
                 let prefill_progress = if r.prefilled {
@@ -394,22 +355,16 @@ impl Chip {
     /// the swap-out is priced by [`FleetCost::swap_cycles_on`] and
     /// charged to the chip's next round.
     ///
-    /// Under paged allocation only the victim's **unique** pages drain —
-    /// shared prefix blocks stay resident for the other sharers (or
-    /// persist in the prefix cache), so a victim whose KV is mostly
-    /// shared prefix swaps almost nothing.
+    /// Under paged KV only the victim's **unique** pages drain — shared
+    /// prefix blocks stay resident for the other sharers (or persist in
+    /// the prefix cache), so a victim whose KV is mostly shared prefix
+    /// swaps almost nothing.
     ///
     /// # Panics
     ///
     /// Panics if called while a round is in flight, or if an index is out
     /// of range.
-    pub fn evict<C: FleetCost>(
-        &mut self,
-        cost: &mut C,
-        mut pager: Option<&mut KvPager>,
-        victims: &[usize],
-        now: u64,
-    ) -> Vec<Job> {
+    pub fn evict<C: FleetCost>(&mut self, cost: &mut C, victims: &[usize], now: u64) -> Vec<Job> {
         assert!(!self.in_flight, "eviction mid-round");
         let mut order: Vec<usize> = victims.to_vec();
         order.sort_unstable();
@@ -431,20 +386,9 @@ impl Chip {
                 start_cycles: a.start_cycles,
                 first_token_cycles: a.first_token_cycles,
             };
+            let moved = self.kv.unmap(a.job.id, a.footprint, now);
             let w = &a.job.workload;
-            self.pending_swap_cycles += match pager.as_deref_mut() {
-                Some(p) => {
-                    let unique = p.job_unique_bytes(a.job.id);
-                    p.unmap_job(a.job.id, now);
-                    self.kv_in_use = p.pinned_bytes();
-                    cost.swap_bytes_cycles_on(self.id, w, unique)
-                }
-                None => {
-                    self.kv_in_use -= a.footprint;
-                    let tokens = resume.kv_tokens(w, cost.prefill_on(self.id, w).serial_cycles);
-                    cost.swap_cycles_on(self.id, w, tokens)
-                }
-            };
+            self.pending_swap_cycles += self.kv.swap_cycles(cost, self.id, w, &resume, moved);
             self.evictions += 1;
             let mut job = a.job;
             job.preemptions += 1;
@@ -458,10 +402,10 @@ impl Chip {
     /// Removes every resident that has just finished its prefill pass and
     /// still wants decode tokens (`prefilled`, zero decode steps, a
     /// generative workload) — the disaggregation migration set. Returns
-    /// each job paired with the bytes its departure freed on this chip:
-    /// under paged allocation the job's **unique dirty blocks** (the
-    /// pruned survivor set minus any shared prefix, which stays resident
-    /// for other sharers), under contiguous allocation its whole
+    /// each job paired with the bytes its departure freed on this chip
+    /// ([`ChipKv::unmap`]): under paged KV the job's **unique dirty
+    /// blocks** (the pruned survivor set minus any shared prefix, which
+    /// stays resident for other sharers), under contiguous KV its whole
     /// footprint.
     ///
     /// Unlike [`Chip::evict`] this is a *handoff*, not a preemption: no
@@ -477,11 +421,7 @@ impl Chip {
     /// # Panics
     ///
     /// Panics if called while a round is in flight.
-    pub fn take_prefill_graduates(
-        &mut self,
-        mut pager: Option<&mut KvPager>,
-        now: u64,
-    ) -> Vec<(Job, u64)> {
+    pub fn take_prefill_graduates(&mut self, now: u64) -> Vec<(Job, u64)> {
         assert!(!self.in_flight, "handoff extraction mid-round");
         let migrants: Vec<usize> = (0..self.active.len())
             .filter(|&i| {
@@ -501,18 +441,7 @@ impl Chip {
                 start_cycles: a.start_cycles,
                 first_token_cycles: a.first_token_cycles,
             };
-            let dirty = match pager.as_deref_mut() {
-                Some(p) => {
-                    let unique = p.job_unique_bytes(a.job.id);
-                    p.unmap_job(a.job.id, now);
-                    self.kv_in_use = p.pinned_bytes();
-                    unique
-                }
-                None => {
-                    self.kv_in_use -= a.footprint;
-                    a.footprint
-                }
-            };
+            let dirty = self.kv.unmap(a.job.id, a.footprint, now);
             let mut job = a.job;
             job.resume = Some(resume);
             out.push((job, dirty));
@@ -532,7 +461,8 @@ impl Chip {
     /// Starts the next round at time `now`, executing whatever `batch`
     /// plans for the resident set. Returns the round length in cycles, or
     /// `None` if the chip has no resident jobs. Completions are buffered
-    /// and must be drained with [`Chip::end_round`] when the round ends.
+    /// and must be drained with [`Chip::end_round_into`] when the round
+    /// ends.
     ///
     /// # Panics
     ///
@@ -542,7 +472,6 @@ impl Chip {
     pub fn start_round<C: FleetCost, B: BatchPolicy>(
         &mut self,
         cost: &mut C,
-        pager: Option<&mut KvPager>,
         batch: &mut B,
         now: u64,
     ) -> Option<u64> {
@@ -589,9 +518,9 @@ impl Chip {
         );
         self.views_scratch = views;
         let cycles = if plan == [RoundStep::WholeJob] {
-            self.start_whole_job(cost, pager, now)
+            self.start_whole_job(cost, now)
         } else {
-            self.start_iteration(cost, pager, &plan, now)
+            self.start_iteration(cost, &plan, now)
         };
         // KV swaps accrued since the last round (evictions, resumed
         // admissions) execute at the head of this one.
@@ -605,21 +534,9 @@ impl Chip {
         Some(cycles)
     }
 
-    /// Ends the in-flight round, releasing the completions it produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round is in flight.
-    pub fn end_round(&mut self) -> Vec<Completion> {
-        assert!(self.in_flight, "no round in flight");
-        self.in_flight = false;
-        std::mem::take(&mut self.finished)
-    }
-
-    /// Ends the in-flight round, appending its completions to `out`
-    /// instead of handing back a fresh `Vec` — the allocation-free
-    /// variant the event loop uses (`out` and the chip's internal buffer
-    /// both keep their capacity across rounds).
+    /// Ends the in-flight round, appending the completions it produced to
+    /// `out` (`out` and the chip's internal buffer both keep their
+    /// capacity across rounds).
     ///
     /// # Panics
     ///
@@ -632,12 +549,7 @@ impl Chip {
 
     /// Run-to-completion round: exactly the whole job at the head of the
     /// resident set (run-to-completion chips hold at most one job).
-    fn start_whole_job<C: FleetCost>(
-        &mut self,
-        cost: &mut C,
-        pager: Option<&mut KvPager>,
-        now: u64,
-    ) -> u64 {
+    fn start_whole_job<C: FleetCost>(&mut self, cost: &mut C, now: u64) -> u64 {
         debug_assert_eq!(self.active.len(), 1, "run-to-completion holds one job");
         let mut a = self.active.pop().expect("resident job");
         let w = &a.job.workload;
@@ -652,13 +564,7 @@ impl Chip {
         // The whole job retires in one round: the in-service estimate
         // charged at admission must be spent exactly.
         self.est_drift += a.est_remaining.abs_diff(total);
-        match pager {
-            Some(p) => {
-                p.unmap_job(a.job.id, now + total);
-                self.kv_in_use = p.pinned_bytes();
-            }
-            None => self.kv_in_use -= a.footprint,
-        }
+        self.kv.unmap(a.job.id, a.footprint, now + total);
         if self.record_tokens {
             self.token_log.push(TokenEvent {
                 id: a.job.id,
@@ -685,13 +591,7 @@ impl Chip {
     /// Panics if the plan contains [`RoundStep::WholeJob`] (multi-job
     /// rounds interleave; whole jobs are a solitary-resident plan) or
     /// advances no job at all.
-    fn start_iteration<C: FleetCost>(
-        &mut self,
-        cost: &mut C,
-        mut pager: Option<&mut KvPager>,
-        plan: &[RoundStep],
-        now: u64,
-    ) -> u64 {
+    fn start_iteration<C: FleetCost>(&mut self, cost: &mut C, plan: &[RoundStep], now: u64) -> u64 {
         let mut compute = 0u64;
         let mut dram = 0u64;
         let mut overhead = 0u64;
@@ -757,10 +657,7 @@ impl Chip {
                         // Cascade pruning retires tokens as decode
                         // proceeds: under paging, whole blocks return to
                         // the free pool while the job is still running.
-                        if let Some(p) = pager.as_deref_mut() {
-                            a.footprint = p.reclaim(a.job.id, a.steps_done as u64);
-                            self.kv_in_use = p.pinned_bytes();
-                        }
+                        a.footprint = self.kv.reclaim(a.job.id, a.steps_done as u64, a.footprint);
                         // The burst's first token is the step the view
                         // priced.
                         let s = if t == 0 {
@@ -839,13 +736,7 @@ impl Chip {
             let a = self.active.remove(i);
             // A retiring job must have spent its whole estimate.
             self.est_drift += a.est_remaining;
-            match pager.as_deref_mut() {
-                Some(p) => {
-                    p.unmap_job(a.job.id, end);
-                    self.kv_in_use = p.pinned_bytes();
-                }
-                None => self.kv_in_use -= a.footprint,
-            }
+            self.kv.unmap(a.job.id, a.footprint, end);
             let generated = a.job.workload.gen_steps;
             self.finished
                 .push(Self::completion(&a, self.id, end, generated));
@@ -882,6 +773,7 @@ mod tests {
     use super::*;
     use crate::batch::IterationBatch;
     use crate::cost::CostModel;
+    use crate::kv::KvSpec;
     use spatten_core::SpAttenConfig;
     use spatten_workloads::Benchmark;
 
@@ -904,13 +796,35 @@ mod tests {
         }
     }
 
-    /// Run `chip` through rounds until its resident set drains, returning
-    /// total cycles.
-    fn run_dry(chip: &mut Chip, cost: &mut CostModel, batch: &mut IterationBatch) -> u64 {
-        let mut now = 0;
-        while let Some(cycles) = chip.start_round(cost, None, batch, now) {
+    /// An idle chip `id` with `kv`-layout KV over `cost`'s budget.
+    fn chip_with(id: usize, kv: KvSpec, cost: &CostModel) -> Chip {
+        Chip::new(id, ChipKv::new(kv, cost.budget_on(id)))
+    }
+
+    /// An idle chip `id` with contiguous KV.
+    fn chip(id: usize, cost: &CostModel) -> Chip {
+        chip_with(id, KvSpec::Contiguous, cost)
+    }
+
+    /// Starts and ends one round at `now`, returning its length.
+    fn round(chip: &mut Chip, cost: &mut CostModel, batch: &mut IterationBatch, now: u64) -> u64 {
+        let cycles = chip.start_round(cost, batch, now).expect("resident work");
+        chip.end_round_into(&mut Vec::new());
+        cycles
+    }
+
+    /// Runs `chip` through rounds from `now` until its resident set
+    /// drains, appending completions to `done`; returns the end time.
+    fn run_dry(
+        chip: &mut Chip,
+        cost: &mut CostModel,
+        batch: &mut IterationBatch,
+        mut now: u64,
+        done: &mut Vec<Completion>,
+    ) -> u64 {
+        while let Some(cycles) = chip.start_round(cost, batch, now) {
             now += cycles;
-            chip.end_round();
+            chip.end_round_into(done);
         }
         now
     }
@@ -923,36 +837,32 @@ mod tests {
         };
 
         // Uninterrupted baseline.
-        let mut plain = Chip::new(0);
-        plain.admit(&mut cost, None, job(0, 128, 6), 0);
-        let baseline = run_dry(&mut plain, &mut cost, &mut batch);
+        let mut plain = chip(0, &cost);
+        plain.admit(&mut cost, job(0, 128, 6), 0);
+        let baseline = run_dry(&mut plain, &mut cost, &mut batch, 0, &mut Vec::new());
         assert_eq!(plain.swap_cycles, 0);
         let plain_rounds = plain.rounds;
 
         // Same job, evicted after 2 decode steps and re-admitted.
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, None, job(0, 128, 6), 0);
+        let mut chip = chip(0, &cost);
+        chip.admit(&mut cost, job(0, 128, 6), 0);
         let mut now = 0;
         for _ in 0..3 {
             // prefill round + 2 decode rounds
-            now += chip.start_round(&mut cost, None, &mut batch, now).unwrap();
-            chip.end_round();
+            now += round(&mut chip, &mut cost, &mut batch, now);
         }
-        let evicted = chip.evict(&mut cost, None, &[0], now);
+        let evicted = chip.evict(&mut cost, &[0], now);
         assert_eq!(evicted.len(), 1);
         assert_eq!(chip.active_jobs(), 0);
-        assert_eq!(chip.kv_in_use(), 0, "eviction releases KV");
+        assert_eq!(chip.kv().in_use(), 0, "eviction releases KV");
         let resume = evicted[0].resume.expect("resume state rides along");
         assert!(resume.prefilled);
         assert_eq!(resume.steps_done, 2);
         assert_eq!(evicted[0].preemptions, 1);
 
-        chip.admit(&mut cost, None, evicted.into_iter().next().unwrap(), now);
+        chip.admit(&mut cost, evicted.into_iter().next().unwrap(), now);
         let mut done = Vec::new();
-        while let Some(cycles) = chip.start_round(&mut cost, None, &mut batch, now) {
-            now += cycles;
-            done.extend(chip.end_round());
-        }
+        run_dry(&mut chip, &mut cost, &mut batch, now, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].generated_tokens, 6, "no decoded work lost");
         assert_eq!(done[0].preemptions, 1);
@@ -973,19 +883,18 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: u64::MAX,
         };
-        let mut chip = Chip::new(0);
+        let mut chip = chip(0, &cost);
         assert_eq!(chip.in_service_cycles(), 0);
         let j = job(0, 128, 6);
-        let total = cost.job_serial_cycles(&j.workload);
-        chip.admit(&mut cost, None, j, 0);
+        let total = cost.job_serial_on(0, &j.workload);
+        chip.admit(&mut cost, j, 0);
         // Admission charges exactly the whole-job serial estimate.
         assert_eq!(chip.in_service_cycles(), total);
         // Each round draws the estimate down, strictly monotonically.
         let mut now = 0;
         let mut last = chip.in_service_cycles();
-        while let Some(cycles) = chip.start_round(&mut cost, None, &mut batch, now) {
-            now += cycles;
-            chip.end_round();
+        while chip.active_jobs() > 0 {
+            now += round(&mut chip, &mut cost, &mut batch, now);
             let remaining = chip.in_service_cycles();
             assert!(remaining < last, "estimate must shrink every round");
             last = remaining;
@@ -1001,25 +910,21 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: u64::MAX,
         };
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, None, job(0, 128, 6), 0);
+        let mut chip = chip(0, &cost);
+        chip.admit(&mut cost, job(0, 128, 6), 0);
         let mut now = 0;
         for _ in 0..3 {
-            now += chip.start_round(&mut cost, None, &mut batch, now).unwrap();
-            chip.end_round();
+            now += round(&mut chip, &mut cost, &mut batch, now);
         }
         let before = chip.in_service_cycles();
         assert!(before > 0, "mid-generation job still holds estimate");
         // Eviction removes the job's whole remaining estimate...
-        let evicted = chip.evict(&mut cost, None, &[0], now);
+        let evicted = chip.evict(&mut cost, &[0], now);
         assert_eq!(chip.in_service_cycles(), 0);
         // ...and re-admission restores exactly it (progress preserved).
-        chip.admit(&mut cost, None, evicted.into_iter().next().unwrap(), now);
+        chip.admit(&mut cost, evicted.into_iter().next().unwrap(), now);
         assert_eq!(chip.in_service_cycles(), before);
-        while let Some(cycles) = chip.start_round(&mut cost, None, &mut batch, now) {
-            now += cycles;
-            chip.end_round();
-        }
+        run_dry(&mut chip, &mut cost, &mut batch, now, &mut Vec::new());
         assert_eq!(chip.in_service_cycles(), 0);
         assert_eq!(chip.est_drift, 0, "admit/evict/resume must not drift");
     }
@@ -1027,24 +932,19 @@ mod tests {
     #[test]
     fn eviction_churn_counts_and_decays() {
         let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
-        let mut chip = Chip::new(0);
+        let mut chip = chip(0, &cost);
         assert_eq!(chip.recent_evictions(0), 0.0);
-        chip.admit(&mut cost, None, job(0, 64, 8), 0);
-        chip.admit(&mut cost, None, job(1, 64, 8), 0);
-        chip.evict(&mut cost, None, &[0, 1], 1000);
+        chip.admit(&mut cost, job(0, 64, 8), 0);
+        chip.admit(&mut cost, job(1, 64, 8), 0);
+        chip.evict(&mut cost, &[0, 1], 1000);
         let fresh = chip.recent_evictions(1000);
         assert!((fresh - 2.0).abs() < 1e-9, "two evictions counted: {fresh}");
         // One half-life later the counter has halved.
         let later = chip.recent_evictions(1000 + CHURN_HALF_LIFE_CYCLES);
         assert!((later - 1.0).abs() < 1e-9, "half-life decay: {later}");
         // Another eviction folds the decayed value down and adds one.
-        chip.admit(
-            &mut cost,
-            None,
-            job(2, 64, 8),
-            1000 + CHURN_HALF_LIFE_CYCLES,
-        );
-        chip.evict(&mut cost, None, &[0], 1000 + CHURN_HALF_LIFE_CYCLES);
+        chip.admit(&mut cost, job(2, 64, 8), 1000 + CHURN_HALF_LIFE_CYCLES);
+        chip.evict(&mut cost, &[0], 1000 + CHURN_HALF_LIFE_CYCLES);
         let stacked = chip.recent_evictions(1000 + CHURN_HALF_LIFE_CYCLES);
         assert!((stacked - 2.0).abs() < 1e-9, "1 decayed + 1 new: {stacked}");
     }
@@ -1056,20 +956,15 @@ mod tests {
         // Evict from chip 1, then try to resume on chip 0: the job's
         // swapped KV prefix lives in chip 1's HBM, so this is a
         // migration bug the chip must catch.
-        let mut home = Chip::new(1);
-        home.admit(&mut cost, None, job(0, 128, 6), 0);
-        let now = home.start_round(
-            &mut cost,
-            None,
-            &mut IterationBatch {
-                prefill_chunk_cycles: u64::MAX,
-            },
-            0,
-        );
-        home.end_round();
-        let evicted = home.evict(&mut cost, None, &[0], now.unwrap());
-        let mut wrong = Chip::new(0);
-        wrong.admit(&mut cost, None, evicted.into_iter().next().unwrap(), 0);
+        let mut home = chip(1, &cost);
+        home.admit(&mut cost, job(0, 128, 6), 0);
+        let mut batch = IterationBatch {
+            prefill_chunk_cycles: u64::MAX,
+        };
+        let now = round(&mut home, &mut cost, &mut batch, 0);
+        let evicted = home.evict(&mut cost, &[0], now);
+        let mut wrong = chip(0, &cost);
+        wrong.admit(&mut cost, evicted.into_iter().next().unwrap(), 0);
     }
 
     #[test]
@@ -1080,9 +975,9 @@ mod tests {
         // the chip (routing, stealing, handoff) is a bug, not a quiet
         // re-admission.
         let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
-        let mut chip = Chip::new(0);
+        let mut chip = chip(0, &cost);
         chip.leave();
-        chip.admit(&mut cost, None, job(0, 128, 4), 0);
+        chip.admit(&mut cost, job(0, 128, 4), 0);
     }
 
     #[test]
@@ -1090,32 +985,23 @@ mod tests {
         // An executed revocation's final KV drain has no future round to
         // absorb it: leave() books it straight into busy + swap cycles.
         let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, None, job(0, 256, 8), 0);
-        let now = chip
-            .start_round(
-                &mut cost,
-                None,
-                &mut IterationBatch {
-                    prefill_chunk_cycles: u64::MAX,
-                },
-                0,
-            )
-            .unwrap();
-        chip.end_round();
-        chip.evict(&mut cost, None, &[0], now);
+        let mut chip = chip(0, &cost);
+        chip.admit(&mut cost, job(0, 256, 8), 0);
+        let mut batch = IterationBatch {
+            prefill_chunk_cycles: u64::MAX,
+        };
+        let now = round(&mut chip, &mut cost, &mut batch, 0);
+        chip.evict(&mut cost, &[0], now);
         let busy_before = chip.busy_cycles;
         let swap_before = chip.swap_cycles;
         chip.leave();
-        assert!(chip.has_left());
         assert!(
             chip.busy_cycles > busy_before && chip.swap_cycles > swap_before,
             "the eviction's swap-out must be booked at departure"
         );
         // A rejoin re-arms admission without touching the ledgers.
         chip.rejoin();
-        assert!(!chip.has_left());
-        chip.admit(&mut cost, None, job(1, 64, 2), now);
+        chip.admit(&mut cost, job(1, 64, 2), now);
         assert_eq!(chip.active_jobs(), 1);
     }
 
@@ -1125,8 +1011,6 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: 10_000,
         };
-        let budget = cost.budget_on(0);
-        let mut pager = KvPager::new(16 * 1024, budget);
         // A job whose whole prompt is the class prefix: every resident
         // prompt byte is shared, so preemption has nothing unique to
         // drain and resume nothing to restore. Evict only after prefill
@@ -1136,51 +1020,37 @@ mod tests {
         shared.shared_prefix_tokens = 256;
         let full = cost.prefill_on(0, &shared.workload).serial_cycles;
         let prefill_rounds = full.div_ceil(10_000);
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, Some(&mut pager), shared, 0);
-        assert_eq!(pager.job_unique_bytes(0), 0);
+        let mut chip = chip_with(0, KvSpec::paged(), &cost);
+        chip.admit(&mut cost, shared, 0);
+        assert_eq!(chip.victim_views()[0].kv_footprint, 0, "nothing unique");
         let mut now = 0;
         for _ in 0..prefill_rounds {
-            now += chip
-                .start_round(&mut cost, Some(&mut pager), &mut batch, now)
-                .unwrap();
-            chip.end_round();
+            now += round(&mut chip, &mut cost, &mut batch, now);
         }
-        let evicted = chip.evict(&mut cost, Some(&mut pager), &[0], now);
+        let evicted = chip.evict(&mut cost, &[0], now);
         let resume = evicted[0].resume.expect("resume state");
         assert!(resume.prefilled, "victim must carry its full prompt KV");
-        chip.admit(
-            &mut cost,
-            Some(&mut pager),
-            evicted.into_iter().next().unwrap(),
-            now,
-        );
-        while let Some(cycles) = chip.start_round(&mut cost, Some(&mut pager), &mut batch, now) {
-            now += cycles;
-            chip.end_round();
-        }
+        chip.admit(&mut cost, evicted.into_iter().next().unwrap(), now);
+        run_dry(&mut chip, &mut cost, &mut batch, now, &mut Vec::new());
         assert_eq!(chip.evictions, 1);
         assert_eq!(
             chip.swap_cycles, 0,
             "a fully-shared victim's swap must be free"
         );
-        pager.assert_drained();
+        chip.assert_kv_drained();
 
         // The identical eviction without sharing pays a real HBM drain.
-        let mut contig = Chip::new(0);
-        contig.admit(&mut cost, None, job(1, 256, 4), 0);
+        let mut contig = self::chip(0, &cost);
+        contig.admit(&mut cost, job(1, 256, 4), 0);
         let mut t = 0;
         for _ in 0..prefill_rounds {
-            t += contig.start_round(&mut cost, None, &mut batch, t).unwrap();
-            contig.end_round();
+            t += round(&mut contig, &mut cost, &mut batch, t);
         }
-        let ev = contig.evict(&mut cost, None, &[0], t);
-        contig.admit(&mut cost, None, ev.into_iter().next().unwrap(), t);
-        while let Some(c) = contig.start_round(&mut cost, None, &mut batch, t) {
-            t += c;
-            contig.end_round();
-        }
+        let ev = contig.evict(&mut cost, &[0], t);
+        contig.admit(&mut cost, ev.into_iter().next().unwrap(), t);
+        run_dry(&mut contig, &mut cost, &mut batch, t, &mut Vec::new());
         assert!(contig.swap_cycles > 0, "unshared KV must swap for real");
+        contig.assert_kv_drained();
     }
 
     #[test]
@@ -1189,26 +1059,23 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: u64::MAX,
         };
-        let budget = cost.budget_on(0);
-        let mut pager = KvPager::new(16 * 1024, budget);
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, Some(&mut pager), job(0, 256, 8), 0);
-        let peak = chip.kv_in_use();
+        let mut chip = chip_with(0, KvSpec::paged(), &cost);
+        chip.admit(&mut cost, job(0, 256, 8), 0);
+        let peak = chip.kv().in_use();
         let mut now = 0;
         let mut last = peak;
-        while let Some(cycles) = chip.start_round(&mut cost, Some(&mut pager), &mut batch, now) {
-            now += cycles;
-            chip.end_round();
-            let held = chip.kv_in_use();
+        while chip.active_jobs() > 0 {
+            now += round(&mut chip, &mut cost, &mut batch, now);
+            let held = chip.kv().in_use();
             assert!(held <= last, "paged footprint grew mid-stream");
             last = held;
         }
-        assert_eq!(chip.kv_in_use(), 0);
+        assert_eq!(chip.kv().in_use(), 0);
         assert!(
-            pager.stats.blocks_reclaimed > 0,
+            chip.kv().stats().blocks_reclaimed > 0,
             "the pruning ramp must return blocks while decoding"
         );
-        pager.assert_drained();
+        chip.assert_kv_drained();
     }
 
     #[test]
@@ -1217,13 +1084,12 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: u64::MAX,
         };
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, None, job(0, 128, 6), 0);
+        let mut chip = chip(0, &cost);
+        chip.admit(&mut cost, job(0, 128, 6), 0);
         // Mid-prefill there is nothing to hand off yet.
-        assert!(chip.take_prefill_graduates(None, 0).is_empty());
-        let now = chip.start_round(&mut cost, None, &mut batch, 0).unwrap();
-        chip.end_round();
-        let grads = chip.take_prefill_graduates(None, now);
+        assert!(chip.take_prefill_graduates(0).is_empty());
+        let now = round(&mut chip, &mut cost, &mut batch, 0);
+        let grads = chip.take_prefill_graduates(now);
         assert_eq!(grads.len(), 1);
         let (j, dirty) = &grads[0];
         assert!(dirty > &0, "contiguous handoff ships the whole footprint");
@@ -1232,7 +1098,7 @@ mod tests {
         assert_eq!(resume.steps_done, 0);
         assert_eq!(j.preemptions, 0, "a handoff is not a preemption");
         assert_eq!(chip.evictions, 0);
-        assert_eq!(chip.kv_in_use(), 0, "departure releases the KV");
+        assert_eq!(chip.kv().in_use(), 0, "departure releases the KV");
         assert_eq!(chip.active_jobs(), 0);
         assert_eq!(
             chip.recent_evictions(now),
@@ -1241,15 +1107,14 @@ mod tests {
         );
 
         // A job already decoding is not a graduate.
-        let mut busy = Chip::new(1);
-        busy.admit(&mut cost, None, job(1, 128, 6), 0);
+        let mut busy = self::chip(1, &cost);
+        busy.admit(&mut cost, job(1, 128, 6), 0);
         let mut t = 0;
         for _ in 0..2 {
             // prefill + one decode round
-            t += busy.start_round(&mut cost, None, &mut batch, t).unwrap();
-            busy.end_round();
+            t += round(&mut busy, &mut cost, &mut batch, t);
         }
-        assert!(busy.take_prefill_graduates(None, t).is_empty());
+        assert!(busy.take_prefill_graduates(t).is_empty());
         assert_eq!(busy.active_jobs(), 1);
     }
 
@@ -1259,17 +1124,15 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: u64::MAX,
         };
-        let mut plain = Chip::new(0);
-        plain.admit(&mut cost, None, job(0, 128, 0), 0);
-        let base = plain.start_round(&mut cost, None, &mut batch, 0).unwrap();
-        plain.end_round();
+        let mut plain = chip(0, &cost);
+        plain.admit(&mut cost, job(0, 128, 0), 0);
+        let base = round(&mut plain, &mut cost, &mut batch, 0);
 
-        let mut charged = Chip::new(0);
-        charged.admit(&mut cost, None, job(0, 128, 0), 0);
+        let mut charged = chip(0, &cost);
+        charged.admit(&mut cost, job(0, 128, 0), 0);
         charged.charge_transfer_cycles(12_345);
-        let round = charged.start_round(&mut cost, None, &mut batch, 0).unwrap();
-        charged.end_round();
-        assert_eq!(round, base + 12_345);
+        let cycles = round(&mut charged, &mut cost, &mut batch, 0);
+        assert_eq!(cycles, base + 12_345);
         assert_eq!(charged.swap_cycles, 12_345);
     }
 
@@ -1279,24 +1142,22 @@ mod tests {
         let mut batch = IterationBatch {
             prefill_chunk_cycles: 10_000, // force many prefill rounds
         };
-        let mut chip = Chip::new(0);
-        chip.admit(&mut cost, None, job(0, 256, 0), 0);
+        let mut chip = chip(0, &cost);
+        chip.admit(&mut cost, job(0, 256, 0), 0);
         let mut now = 0;
         for _ in 0..2 {
-            now += chip.start_round(&mut cost, None, &mut batch, now).unwrap();
-            chip.end_round();
+            now += round(&mut chip, &mut cost, &mut batch, now);
         }
-        let evicted = chip.evict(&mut cost, None, &[0], now);
+        let evicted = chip.evict(&mut cost, &[0], now);
         let resume = evicted[0].resume.expect("resume state");
         assert!(!resume.prefilled);
         assert_eq!(resume.prefill_progress, 20_000);
-        chip.admit(&mut cost, None, evicted.into_iter().next().unwrap(), now);
+        chip.admit(&mut cost, evicted.into_iter().next().unwrap(), now);
         // The resumed job finishes the remaining prefill only.
         let total = cost.prefill_on(0, &job(0, 256, 0).workload).serial_cycles;
         let mut remaining_rounds = 0;
-        while let Some(cycles) = chip.start_round(&mut cost, None, &mut batch, now) {
-            now += cycles;
-            chip.end_round();
+        while chip.active_jobs() > 0 {
+            now += round(&mut chip, &mut cost, &mut batch, now);
             remaining_rounds += 1;
         }
         assert_eq!(

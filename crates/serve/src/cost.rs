@@ -228,7 +228,17 @@ pub trait FleetCost {
     /// context of `context` tokens.
     fn decode_on(&mut self, chip: usize, w: &Workload, context: usize) -> StepCost;
 
-    /// KV-cache SRAM bytes the job pins while resident on `chip`.
+    /// KV-cache SRAM bytes the job pins while resident on `chip`: the
+    /// *deepest-layer* survivor set of its maximum context (cascade
+    /// pruning's end state — the working set SpAtten keeps hot across
+    /// generation steps), K and V planes at the workload's MSB storage
+    /// precision (the plane SpAtten streams during generation; LSB refetch
+    /// is rare enough — ≈ 5.9 % of queries — not to be provisioned for).
+    ///
+    /// Clamped to [`FleetCost::budget_on`]: an oversized job (one whose
+    /// working set alone exceeds the SRAMs) is still servable — the perf
+    /// model charges it SRAM-overflow re-streaming — but it can never
+    /// share a chip, so its effective reservation is the whole budget.
     fn footprint_on(&mut self, chip: usize, w: &Workload) -> u64;
 
     /// The KV packing budget of `chip`.
@@ -245,14 +255,15 @@ pub trait FleetCost {
     fn swap_cycles_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64;
 
     /// KV bytes `job` must reserve to be admitted on `chip`. The default
-    /// is the plain per-workload working set ([`FleetCost::footprint_on`])
-    /// — every contiguous-budget caller prices through here unchanged. The
-    /// paged adapter ([`PagedCost`](crate::kv::PagedCost)) overrides this
-    /// with a page-table-backed charge: shared prefix pages priced once
-    /// per chip, resumed jobs priced at their current position on the
-    /// pruning curve. Fit checks (admission, stealing, preemption) go
-    /// through this; the scheduler's pending-work ledgers stay on
-    /// `footprint_on` so charge and discharge remain symmetric.
+    /// is the plain per-workload working set ([`FleetCost::footprint_on`]).
+    /// Fit checks (admission, stealing, preemption) go through this, and
+    /// the engine hands those seams a view that answers it from the
+    /// chip's KV store ([`ChipKv::fit_bytes`](crate::kv::ChipKv::fit_bytes)):
+    /// the working set under contiguous KV; under paged KV a page-table
+    /// charge, with shared prefix pages priced once per chip and resumed
+    /// jobs at their current position on the pruning curve. The
+    /// scheduler's pending-work ledgers stay on `footprint_on` so charge
+    /// and discharge remain symmetric.
     fn job_footprint_on(&mut self, chip: usize, job: &Job) -> u64 {
         self.footprint_on(chip, &job.workload)
     }
@@ -474,11 +485,6 @@ impl CostModel {
         }
     }
 
-    /// An attention-only oracle for a homogeneous fleet of `cfg` chips.
-    pub fn attention_only(cfg: SpAttenConfig) -> Self {
-        Self::build(vec![cfg], None)
-    }
-
     /// An end-to-end oracle for a homogeneous fleet: attention from the
     /// cycle-level model plus FC weight streaming at `fc_weight_bits`
     /// (SpAtten-e2e, Table IV).
@@ -491,11 +497,6 @@ impl CostModel {
     /// with identical configurations.
     pub fn heterogeneous(chip_cfgs: Vec<SpAttenConfig>, fc_weight_bits: Option<u32>) -> Self {
         Self::build(chip_cfgs, fc_weight_bits)
-    }
-
-    /// The accelerator configuration chip 0 is priced against.
-    pub fn config(&self) -> SpAttenConfig {
-        self.chip_cfgs[0]
     }
 
     /// Maps a chip index onto its configuration slot: a single-config
@@ -521,50 +522,6 @@ impl CostModel {
             *entry = Some(SpAttenE2e::new(self.chip_cfgs[slot], bits));
         }
         entry.as_ref()
-    }
-
-    /// Cost of `w`'s summarization/prefill pass over `w.seq_len` tokens
-    /// (chip 0's configuration).
-    pub fn prefill(&mut self, w: &Workload) -> StepCost {
-        self.prefill_on(0, w)
-    }
-
-    /// Cost of generating one token of `w` at a (pre-pruning) KV context of
-    /// `context` tokens (chip 0's configuration).
-    pub fn decode(&mut self, w: &Workload, context: usize) -> StepCost {
-        self.decode_on(0, w, context)
-    }
-
-    /// Serialized cycles of the whole job on chip 0's configuration.
-    pub fn job_serial_cycles(&mut self, w: &Workload) -> u64 {
-        self.job_serial_on(0, w)
-    }
-
-    /// Cycles from job start until its first visible token (chip 0's
-    /// configuration).
-    pub fn first_token_cycles(&mut self, w: &Workload) -> u64 {
-        self.first_token_on(0, w)
-    }
-
-    /// The KV-cache SRAM footprint the job pins while resident on a chip:
-    /// the *deepest-layer* survivor set of its maximum context (cascade
-    /// pruning's end state — the working set SpAtten keeps hot across
-    /// generation steps), K and V planes at the workload's MSB storage
-    /// precision (the plane SpAtten streams during generation; LSB refetch
-    /// is rare enough — ≈ 5.9 % of queries — not to be provisioned for).
-    ///
-    /// Clamped to [`Self::kv_budget`]: an oversized job (one whose working
-    /// set alone exceeds the SRAMs) is still servable — the perf model
-    /// charges it SRAM-overflow re-streaming — but it can never share a
-    /// chip, so its effective reservation is the whole budget.
-    pub fn kv_footprint_bytes(&mut self, w: &Workload) -> u64 {
-        self.footprint_on(0, w)
-    }
-
-    /// The packing budget continuous batching fills on chip 0: the K and
-    /// the V SRAM (`SpAttenConfig::kv_sram_bytes` each).
-    pub fn kv_budget(&self) -> u64 {
-        self.budget_on(0)
     }
 }
 
@@ -899,8 +856,8 @@ mod tests {
     fn decode_cost_grows_with_context() {
         let mut m = model();
         let w = Benchmark::gpt2_small_wikitext2().workload();
-        let near = m.decode(&w, 64).serial_cycles;
-        let far = m.decode(&w, 1024).serial_cycles;
+        let near = m.decode_on(0, &w, 64).serial_cycles;
+        let far = m.decode_on(0, &w, 1024).serial_cycles;
         assert!(far > near, "decode at ctx 1024 ({far}) vs 64 ({near})");
     }
 
@@ -909,9 +866,9 @@ mod tests {
         let mut m = model();
         let mut w = Benchmark::bert_base_sst2().workload();
         w.seq_len = 32;
-        let short = m.prefill(&w).serial_cycles;
+        let short = m.prefill_on(0, &w).serial_cycles;
         w.seq_len = 256;
-        let long = m.prefill(&w).serial_cycles;
+        let long = m.prefill_on(0, &w).serial_cycles;
         assert!(long > 4 * short, "prefill 256 ({long}) vs 32 ({short})");
     }
 
@@ -919,11 +876,11 @@ mod tests {
     fn memoization_is_stable() {
         let mut m = model();
         let w = Benchmark::gpt2_small_wikitext2().workload();
-        let a = m.decode(&w, 100);
-        let b = m.decode(&w, 100);
+        let a = m.decode_on(0, &w, 100);
+        let b = m.decode_on(0, &w, 100);
         assert_eq!(a, b);
         // Same bucket → same memo entry.
-        let c = m.decode(&w, 97);
+        let c = m.decode_on(0, &w, 97);
         assert_eq!(a, c);
     }
 
@@ -1007,13 +964,13 @@ mod tests {
         let mut w = Benchmark::gpt2_small_wikitext2().workload();
         w.seq_len = 128;
         w.gen_steps = 4;
-        let total = m.job_serial_cycles(&w);
-        let mut expect = m.prefill(&w).serial_cycles;
+        let total = m.job_serial_on(0, &w);
+        let mut expect = m.prefill_on(0, &w).serial_cycles;
         for s in 0..4 {
-            expect += m.decode(&w, 128 + s + 1).serial_cycles;
+            expect += m.decode_on(0, &w, 128 + s + 1).serial_cycles;
         }
         assert_eq!(total, expect);
-        assert!(m.first_token_cycles(&w) < total);
+        assert!(m.first_token_on(0, &w) < total);
     }
 
     #[test]
@@ -1022,12 +979,12 @@ mod tests {
         let mut w = Benchmark::gpt2_small_wikitext2().workload();
         w.seq_len = 64;
         w.gen_steps = 8;
-        let small = m.kv_footprint_bytes(&w);
+        let small = m.footprint_on(0, &w);
         w.seq_len = 512;
-        let big = m.kv_footprint_bytes(&w);
+        let big = m.footprint_on(0, &w);
         assert!(small > 0);
         assert!(big > small);
-        assert!(big <= m.kv_budget());
+        assert!(big <= m.budget_on(0));
     }
 
     #[test]
@@ -1136,7 +1093,7 @@ mod tests {
         // Table IV regime: generation is dominated by weight/KV streaming.
         let mut m = model();
         let w = Benchmark::gpt2_small_wikitext2().workload();
-        let c = m.decode(&w, 512);
+        let c = m.decode_on(0, &w, 512);
         assert!(c.dram_cycles > c.compute_cycles, "{c:?}");
     }
 
@@ -1145,7 +1102,7 @@ mod tests {
         let mut m = model();
         let mut w = Benchmark::bert_base_sst2().workload();
         w.seq_len = 128;
-        let c = m.prefill(&w);
+        let c = m.prefill_on(0, &w);
         assert!(c.compute_cycles > c.dram_cycles, "{c:?}");
     }
 }

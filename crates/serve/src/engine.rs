@@ -112,7 +112,7 @@ use crate::disagg::PoolSpec;
 use crate::elastic::{
     AutoscalePolicy, Availability, ElasticChipStats, ElasticSchedule, FleetLoadView, LeaveMode,
 };
-use crate::kv::{JobKvNeed, KvPager, KvSpec, KvStats, PagedCost};
+use crate::kv::{ChipKv, KvSpec};
 use crate::metrics::{ChipStats, FleetReport};
 use crate::preempt::PreemptionPolicy;
 use crate::request::{Completion, Job, Rejection};
@@ -121,7 +121,9 @@ use crate::scheduler::{
     Admission, AdmissionPolicy, ChipCapacity, Policy, PreemptSpec, SchedKnobs, Scheduler, SimMode,
     StealSpec,
 };
+use spatten_core::StepCost;
 use spatten_nn::ModelConfig;
+use spatten_workloads::fleet::LinkSpec;
 use spatten_workloads::{PoolRole, Trace, TraceRequest, Workload};
 
 /// One chip's token emission for one request in one round: `count`
@@ -184,6 +186,85 @@ fn job_from(req: &TraceRequest, client: Option<usize>, arrival_cycles: u64, cloc
         shared_prefix_tokens: req.shared_prefix_tokens,
         revoked: false,
         workload: req.workload.clone(),
+    }
+}
+
+/// The cost view the fit-pricing seams (admission, preemption, stealing)
+/// see: every pricing query goes to `base`, except
+/// [`FleetCost::job_footprint_on`], which asks the chip's KV store
+/// ([`ChipKv::fit_bytes`]). The scheduler's pending-work ledgers keep
+/// calling `footprint_on` through it, so charge and discharge stay
+/// symmetric.
+struct FitView<'a, C: FleetCost> {
+    base: &'a mut C,
+    chips: &'a [Chip],
+}
+
+impl<'a, C: FleetCost> FitView<'a, C> {
+    fn new(base: &'a mut C, chips: &'a [Chip]) -> Self {
+        Self { base, chips }
+    }
+}
+
+impl<C: FleetCost> FleetCost for FitView<'_, C> {
+    fn prefill_on(&mut self, chip: usize, w: &Workload) -> StepCost {
+        self.base.prefill_on(chip, w)
+    }
+
+    fn decode_on(&mut self, chip: usize, w: &Workload, context: usize) -> StepCost {
+        self.base.decode_on(chip, w, context)
+    }
+
+    fn footprint_on(&mut self, chip: usize, w: &Workload) -> u64 {
+        self.base.footprint_on(chip, w)
+    }
+
+    fn budget_on(&self, chip: usize) -> u64 {
+        self.base.budget_on(chip)
+    }
+
+    fn swap_cycles_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
+        self.base.swap_cycles_on(chip, w, tokens)
+    }
+
+    fn job_footprint_on(&mut self, chip: usize, job: &Job) -> u64 {
+        self.chips[chip].kv().fit_bytes(self.base, chip, job)
+    }
+
+    fn raw_kv_bytes_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
+        self.base.raw_kv_bytes_on(chip, w, tokens)
+    }
+
+    fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64 {
+        self.base.swap_bytes_cycles_on(chip, w, bytes)
+    }
+
+    fn weight_load_cycles_on(&mut self, chip: usize, w: &Workload) -> u64 {
+        self.base.weight_load_cycles_on(chip, w)
+    }
+
+    fn handoff_cycles_on(
+        &mut self,
+        src: usize,
+        dst: usize,
+        w: &Workload,
+        bytes: u64,
+        hops: u64,
+        link: &LinkSpec,
+    ) -> u64 {
+        self.base.handoff_cycles_on(src, dst, w, bytes, hops, link)
+    }
+
+    fn note_batch(&mut self, chip: usize, resident: usize) {
+        self.base.note_batch(chip, resident);
+    }
+
+    fn job_serial_on(&mut self, chip: usize, w: &Workload) -> u64 {
+        self.base.job_serial_on(chip, w)
+    }
+
+    fn first_token_on(&mut self, chip: usize, w: &Workload) -> u64 {
+        self.base.first_token_on(chip, w)
     }
 }
 
@@ -448,9 +529,6 @@ pub struct FleetEngine<
     batch: B,
     preempt: P,
     chips: Vec<Chip>,
-    /// Per-chip paged KV allocators under [`KvSpec::Paged`]; `None`
-    /// reproduces the contiguous resource model bit-for-bit.
-    pagers: Option<Vec<KvPager>>,
     /// Disaggregation pool layout; `None` is co-located serving.
     pools: Option<PoolSpec>,
     /// Per-chip handoff counters. Sources count departures and payload
@@ -563,22 +641,19 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
                 chips
             );
         }
-        // One pager per chip under paging, each sized to that chip's KV
-        // budget (heterogeneous fleets get heterogeneous block counts).
-        let pagers = kv.block_bytes().map(|block| {
-            (0..chips)
-                .map(|c| KvPager::new(block, cost.budget_on(c)))
-                .collect()
-        });
         let mut scheduler = Scheduler::new(admission, routing, chips).with_steal(steal);
         if let Some(p) = &pools {
             scheduler = scheduler.with_roles(p.roles.clone());
         }
         let elastic = ElasticState::new(&schedule, chips, clock_ghz);
-        // Cold chips (scheduled joins and the reserve) start out of the
-        // fleet: their admission path is armed to panic until their
-        // join's weight load completes.
-        let mut chip_vec: Vec<Chip> = (0..chips).map(Chip::new).collect();
+        // Each chip's KV store is sized to its own budget (heterogeneous
+        // fleets get heterogeneous block counts). Cold chips (scheduled
+        // joins and the reserve) start out of the fleet: their admission
+        // path is armed to panic until their join's weight load
+        // completes.
+        let mut chip_vec: Vec<Chip> = (0..chips)
+            .map(|c| Chip::new(c, ChipKv::new(kv, cost.budget_on(c))))
+            .collect();
         for (chip, avail) in chip_vec.iter_mut().zip(&elastic.avail) {
             if *avail == Availability::Offline {
                 chip.leave();
@@ -595,7 +670,6 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             batch,
             preempt,
             chips: chip_vec,
-            pagers,
             pools,
             handoffs: vec![0; chips],
             handoff_bytes: vec![0; chips],
@@ -846,13 +920,11 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
                 "chip {chip}: in-service estimate drifted from executed work"
             );
         }
-        // Page-accounting conservation: at drain every block allocated
-        // must have been freed and every refcount must have hit zero
-        // (the cache is flushed as part of the check).
-        if let Some(pagers) = self.pagers.as_mut() {
-            for pager in pagers.iter_mut() {
-                pager.assert_drained();
-            }
+        // KV conservation: at drain every reservation is released —
+        // paged, every block allocated was freed and every refcount hit
+        // zero (the cache is flushed as part of the check).
+        for chip in &mut self.chips {
+            chip.assert_kv_drained();
         }
         // Chips still in service accrue online time up to the last event:
         // on a fixed fleet every chip is online for the whole makespan,
@@ -885,10 +957,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
                 handoffs: self.handoffs[c.id],
                 handoff_bytes: self.handoff_bytes[c.id],
                 handoff_cycles: self.handoff_cycles[c.id],
-                kv: match &self.pagers {
-                    Some(pagers) => pagers[c.id].stats,
-                    None => KvStats::default(),
-                },
+                kv: c.kv().stats(),
                 elastic: self.elastic.stats[c.id],
             })
             .collect();
@@ -975,41 +1044,31 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
 
     fn capacity(&self, chip_idx: usize) -> ChipCapacity {
         let chip = &self.chips[chip_idx];
-        let kv_free = match &self.pagers {
-            // Block-granular availability, asked of the pager directly:
-            // the byte budget may exceed `total_blocks × block_bytes` by
-            // a sub-block remainder the pager can never hand out, so
-            // `budget − in_use` would overstate what admission may take.
-            Some(pagers) => pagers[chip_idx].available_bytes(),
-            None => self
-                .cost
-                .budget_on(chip_idx)
-                .saturating_sub(chip.kv_in_use()),
-        };
         ChipCapacity {
             active: chip.active_jobs(),
-            kv_free,
+            kv_free: chip.kv().free_bytes(),
             slots: self.max_batch.saturating_sub(chip.active_jobs()),
         }
     }
 
     /// Runs the admission policy for `chip_idx` against its current
-    /// capacity, with fit checks priced through the pager when paging is
-    /// on (shared prefix blocks charged once, resumed victims at their
-    /// curve position).
-    fn take_for(&mut self, chip_idx: usize, now: u64) -> Admission {
+    /// capacity, with fit checks priced by the chip's KV store. An online
+    /// chip takes from its private queue, then the shared queue; a
+    /// draining one only from its private queue — after
+    /// [`Scheduler::drain_chip`] that holds just the work pinned to its
+    /// HBM, and the shared queue belongs to the chips that stay.
+    fn take_for(&mut self, chip_idx: usize, online: bool, now: u64) -> Admission {
         let cap = self.capacity(chip_idx);
-        match self.pagers.as_ref() {
-            Some(pagers) => {
-                let mut paged = PagedCost::new(&mut self.cost, pagers);
-                self.scheduler.take(&mut paged, chip_idx, cap, now)
-            }
-            None => self.scheduler.take(&mut self.cost, chip_idx, cap, now),
+        let mut cost = FitView::new(&mut self.cost, &self.chips);
+        if online {
+            self.scheduler.take(&mut cost, chip_idx, cap, now)
+        } else {
+            self.scheduler.take_local(&mut cost, chip_idx, cap, now)
         }
     }
 
     /// Applies one admission decision: sheds rejections, admits the rest
-    /// onto the chip (mapping page tables under paging). Under model
+    /// onto the chip (mapping them into its KV store). Under model
     /// tracking, a job whose model differs from the chip's resident
     /// weight plane first streams its weights in — the swap price of
     /// cross-model placement.
@@ -1027,8 +1086,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
                 self.elastic.stats[chip_idx].model_swaps += 1;
                 self.elastic.resident_model[chip_idx] = Some(job.workload.model);
             }
-            let pager = self.pagers.as_mut().map(|p| &mut p[chip_idx]);
-            self.chips[chip_idx].admit(&mut self.cost, pager, job, now);
+            self.chips[chip_idx].admit(&mut self.cost, job, now);
         }
     }
 
@@ -1042,7 +1100,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             loads.push(ChipLoad {
                 role: self.pools.as_ref().map_or(PoolRole::Flex, |p| p.role(i)),
                 active: chip.active_jobs(),
-                kv_in_use: chip.kv_in_use(),
+                kv_in_use: chip.kv().in_use(),
                 kv_budget: self.cost.budget_on(i),
                 pending_jobs: self.scheduler.pending_on(i),
                 pending_cycles: self.scheduler.pending_cycles_on(i),
@@ -1057,80 +1115,49 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
 
     /// Offers work to `chip` — possibly evicting residents for queued
     /// higher-priority work first — and starts its next round if it holds
-    /// any.
+    /// any. A draining chip is finishing its obligations, not taking on
+    /// new ones: it admits from its private queue only, never preempts
+    /// or steals, and leaves once it runs dry.
     fn kick(&mut self, chip_idx: usize, now: u64) {
         if self.chips[chip_idx].is_in_flight() {
             return;
         }
-        match self.elastic.avail[chip_idx] {
+        let online = match self.elastic.avail[chip_idx] {
             Availability::Offline => return,
-            Availability::Draining => {
-                // A revocation cutoff that fired mid-round executes now,
-                // at the first quiescent moment: the finished round's
-                // tokens are kept, nothing new starts.
-                if self.elastic.revoke_pending[chip_idx] {
-                    self.execute_revoke(chip_idx, now);
-                    return;
-                }
-                // A draining chip admits only from its private queue —
-                // jobs whose KV prefix lives in its HBM (the leave-time
-                // drain stripped everything unpinned). No preemption, no
-                // stealing, no shared-queue pulls: the chip is finishing
-                // its obligations, not taking on new ones.
-                let cap = self.capacity(chip_idx);
-                let decision = match self.pagers.as_ref() {
-                    Some(pagers) => {
-                        let mut paged = PagedCost::new(&mut self.cost, pagers);
-                        self.scheduler.take_local(&mut paged, chip_idx, cap, now)
-                    }
-                    None => self
-                        .scheduler
-                        .take_local(&mut self.cost, chip_idx, cap, now),
-                };
-                self.admit_all(chip_idx, decision, now);
-                let pager = self.pagers.as_mut().map(|p| &mut p[chip_idx]);
-                let chip = &mut self.chips[chip_idx];
-                if let Some(cycles) = chip.start_round(&mut self.cost, pager, &mut self.batch, now)
-                {
-                    self.push(now + cycles, EventKind::RoundEnd(chip_idx as u32));
-                } else if self.drain_complete(chip_idx) {
-                    self.finish_leave(chip_idx, now);
-                }
+            // A revocation cutoff that fired mid-round executes now, at
+            // the first quiescent moment: the finished round's tokens
+            // are kept, nothing new starts.
+            Availability::Draining if self.elastic.revoke_pending[chip_idx] => {
+                self.execute_revoke(chip_idx, now);
                 return;
             }
-            Availability::Online => {}
-        }
+            Availability::Draining => false,
+            Availability::Online => true,
+        };
         // Preemption runs before admission: the policy sees the chip's
         // candidates (private + shared queue) and its resident set, and
         // may clear room. The snapshot is skipped outright when the
         // policy never evicts, or there is nothing to evict, or nothing
         // is queued for this chip (its private queue or the shared
         // queue) to evict for — this path runs on every kick.
-        let victims = if self.preempt.may_preempt()
+        let victims = if online
+            && self.preempt.may_preempt()
             && self.chips[chip_idx].active_jobs() > 0
             && self.scheduler.queued_len_for(chip_idx) > 0
         {
             let cap = self.capacity(chip_idx);
             let views = self.chips[chip_idx].victim_views();
             let queued = self.scheduler.queued_for(chip_idx);
-            match self.pagers.as_ref() {
-                Some(pagers) => {
-                    let mut paged = PagedCost::new(&mut self.cost, pagers);
-                    self.preempt
-                        .victims(&queued, &views, &mut paged, chip_idx, cap, now)
-                }
-                None => self
-                    .preempt
-                    .victims(&queued, &views, &mut self.cost, chip_idx, cap, now),
-            }
+            let mut cost = FitView::new(&mut self.cost, &self.chips);
+            self.preempt
+                .victims(&queued, &views, &mut cost, chip_idx, cap, now)
         } else {
             Vec::new()
         };
         let evicted = if victims.is_empty() {
             Vec::new()
         } else {
-            let pager = self.pagers.as_mut().map(|p| &mut p[chip_idx]);
-            self.chips[chip_idx].evict(&mut self.cost, pager, &victims, now)
+            self.chips[chip_idx].evict(&mut self.cost, &victims, now)
         };
         // Admission runs while the victims are OFF the queue: the first
         // claim on the freed capacity belongs to the blocked job
@@ -1138,7 +1165,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         // would hand the space straight back to them and the eviction
         // would be pure swap churn.
         let had_evictions = !evicted.is_empty();
-        let decision = self.take_for(chip_idx, now);
+        let decision = self.take_for(chip_idx, online, now);
         self.admit_all(chip_idx, decision, now);
         if had_evictions {
             for job in evicted.into_iter().rev() {
@@ -1150,33 +1177,29 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             // nothing must never strand re-queued work with no future
             // round to claim it. Capacity is recomputed after the first
             // wave's admissions, so the refill sees the true remainder.
-            let refill = self.take_for(chip_idx, now);
+            let refill = self.take_for(chip_idx, online, now);
             self.admit_all(chip_idx, refill, now);
         }
         // Work stealing: a chip that comes out of admission idle with an
         // empty private queue pulls the costliest-fit job from the most
         // backlogged peer's private queue — routing misestimates become
         // one extra queue hop instead of a permanently idle chip.
-        if self.chips[chip_idx].active_jobs() == 0 && self.scheduler.pending_on(chip_idx) == 0 {
+        if online
+            && self.chips[chip_idx].active_jobs() == 0
+            && self.scheduler.pending_on(chip_idx) == 0
+        {
             let cap = self.capacity(chip_idx);
-            let stole = match self.pagers.as_ref() {
-                Some(pagers) => {
-                    let mut paged = PagedCost::new(&mut self.cost, pagers);
-                    self.scheduler.steal_into(&mut paged, chip_idx, cap, now)
-                }
-                None => self
-                    .scheduler
-                    .steal_into(&mut self.cost, chip_idx, cap, now),
-            };
-            if stole {
-                let stolen = self.take_for(chip_idx, now);
+            let mut cost = FitView::new(&mut self.cost, &self.chips);
+            if self.scheduler.steal_into(&mut cost, chip_idx, cap, now) {
+                let stolen = self.take_for(chip_idx, online, now);
                 self.admit_all(chip_idx, stolen, now);
             }
         }
-        let pager = self.pagers.as_mut().map(|p| &mut p[chip_idx]);
         let chip = &mut self.chips[chip_idx];
-        if let Some(cycles) = chip.start_round(&mut self.cost, pager, &mut self.batch, now) {
+        if let Some(cycles) = chip.start_round(&mut self.cost, &mut self.batch, now) {
             self.push(now + cycles, EventKind::RoundEnd(chip_idx as u32));
+        } else if !online && self.drain_complete(chip_idx) {
+            self.finish_leave(chip_idx, now);
         }
     }
 
@@ -1202,11 +1225,11 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         self.elastic.stats[chip_idx].leaves += 1;
     }
 
-    /// The least-loaded online chip (queued + in-service backlog, ties
-    /// to the lowest index) — where revoked work and orphaned handoffs
-    /// re-route.
-    fn best_online_chip(&self) -> usize {
-        (0..self.chips.len())
+    /// The online chip among `candidates` with the least queued +
+    /// in-service backlog (the estimate routing ranks with), ties to the
+    /// lowest index.
+    fn least_backlogged(&self, candidates: impl Iterator<Item = usize>) -> Option<usize> {
+        candidates
             .filter(|&c| self.elastic.avail[c] == Availability::Online)
             .min_by_key(|&c| {
                 let backlog = self
@@ -1215,6 +1238,12 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
                     .saturating_add(self.chips[c].in_service_cycles());
                 (backlog, c)
             })
+    }
+
+    /// The least-loaded online chip — where revoked work and orphaned
+    /// handoffs re-route.
+    fn best_online_chip(&self) -> usize {
+        self.least_backlogged(0..self.chips.len())
             .expect("an elastic fleet keeps at least one chip online")
     }
 
@@ -1275,8 +1304,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         let residents = self.chips[chip_idx].active_jobs();
         if residents > 0 {
             let all: Vec<usize> = (0..residents).collect();
-            let pager = self.pagers.as_mut().map(|p| &mut p[chip_idx]);
-            displaced.extend(self.chips[chip_idx].evict(&mut self.cost, pager, &all, now));
+            displaced.extend(self.chips[chip_idx].evict(&mut self.cost, &all, now));
         }
         self.elastic.stats[chip_idx].revoked_jobs += displaced.len() as u64;
         for mut job in displaced.into_iter().rev() {
@@ -1434,33 +1462,19 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             self.pools = Some(pools);
             return;
         }
-        let pager = self.pagers.as_mut().map(|p| &mut p[src]);
-        for (mut job, dirty_bytes) in self.chips[src].take_prefill_graduates(pager, now) {
+        for (mut job, dirty_bytes) in self.chips[src].take_prefill_graduates(now) {
             // Only online chips receive handoffs: a payload sent to a
             // draining chip would extend its departure, one sent to an
             // offline chip would strand. If the whole decode pool is
             // leaving, fall back to the least-loaded online chip of any
             // role — work-conserving beats pool purity.
-            let dst = pools
-                .decode_targets(src)
-                .filter(|&c| self.elastic.avail[c] == Availability::Online)
-                .min_by_key(|&c| {
-                    let backlog = self
-                        .scheduler
-                        .pending_cycles_on(c)
-                        .saturating_add(self.chips[c].in_service_cycles());
-                    (backlog, c)
-                })
+            let dst = self
+                .least_backlogged(pools.decode_targets(src))
                 .unwrap_or_else(|| self.best_online_chip());
-            let cold_prefix_bytes = match self.pagers.as_ref() {
-                Some(pagers) => {
-                    let need = JobKvNeed::of(&mut self.cost, dst, &job);
-                    let (warm, total) = pagers[dst].warm_prefix_blocks(&need);
-                    (total - warm) * pagers[dst].block_bytes()
-                }
-                None => 0,
-            };
-            let bytes = dirty_bytes + cold_prefix_bytes;
+            let bytes = dirty_bytes
+                + self.chips[dst]
+                    .kv()
+                    .cold_prefix_bytes(&mut self.cost, dst, &job);
             let cycles = self.cost.handoff_cycles_on(
                 src,
                 dst,

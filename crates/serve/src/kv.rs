@@ -42,27 +42,31 @@
 //! — a prefix of a prefix is still a valid prefix, and a later hit
 //! refills only the missing tail blocks.
 //!
-//! The five scheduling seams see the pager through two numbers: a job's
+//! ## One store per chip
+//!
+//! Each chip owns a [`ChipKv`]: the contiguous ledger (one
+//! [`FleetCost::footprint_on`] reservation per resident job) or a
+//! [`KvPager`]. It is the only code that matches on the layout. The chip
+//! maps, reclaims and unmaps through it; the engine asks it for free
+//! bytes, a handoff target's cold prefix bytes, stats and the drain
+//! check; and the seams that price a fit (admission, preemption,
+//! stealing) see [`ChipKv::fit_bytes`] as
+//! [`FleetCost::job_footprint_on`]. Paged, the fit charge is the job's
 //! **admission charge** ([`KvPager::admission_bytes`] — the blocks that
-//! would leave the available pool if the job mapped now) and its
-//! **unique bytes** ([`KvPager::job_unique_bytes`] — what preemption
-//! must actually swap, shared prefix blocks stay resident). Both are
-//! exact block multiples, so admission against
-//! [`KvPager::available_bytes`] can never over-commit.
+//! would leave the available pool if the job mapped now), and a swap or
+//! handoff moves its **unique bytes** ([`KvPager::job_unique_bytes`] —
+//! shared prefix blocks stay resident). Both are exact block multiples,
+//! so admission against [`KvPager::available_bytes`] can never
+//! over-commit.
 
 use crate::cost::FleetCost;
-use crate::request::Job;
-use spatten_core::StepCost;
+use crate::request::{Job, ResumeState};
 use spatten_workloads::Workload;
 use std::collections::HashMap;
 
 /// How a chip's KV SRAM budget is carved up — the `SchedKnobs` knob
-/// selecting between the contiguous PR 3–5 resource model and the paged
-/// allocator.
-///
-/// The default reproduces the contiguous model bit-for-bit: no pager is
-/// instantiated and every footprint/fit/swap query takes the exact code
-/// path it took before this module existed.
+/// selecting the layout of every chip's [`ChipKv`]: one contiguous
+/// reservation per job (the default), or the paged allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum KvSpec {
     /// One contiguous reservation per job (the historical model).
@@ -545,87 +549,190 @@ impl KvPager {
     }
 }
 
-/// A [`FleetCost`] view in which job fit-checks are page-table-backed.
-///
-/// Every method delegates to `base` (preserving its memoization and
-/// ledger semantics) except [`FleetCost::job_footprint_on`], which
-/// prices a job at the pager's [`KvPager::admission_bytes`]: shared
-/// prefix pages charged once per chip, resumed victims positioned on
-/// their retirement curve. The fleet event loop hands this view to
-/// admission, stealing and preemption policies while a paged run is
-/// active; the scheduler's pending-work ledgers keep calling
-/// `footprint_on` through it unchanged, so charge/discharge stay
-/// symmetric.
-pub struct PagedCost<'a, C: FleetCost> {
-    base: &'a mut C,
-    pagers: &'a [KvPager],
+/// One chip's KV store: the contiguous reservation ledger or the paged
+/// allocator, chosen once from [`KvSpec`] and owned by the chip. This is
+/// the only type that knows which layout a chip runs; the chip, the
+/// engine and every seam ask it the same questions either way.
+#[derive(Debug)]
+pub enum ChipKv {
+    /// One contiguous reservation per job: each resident pins its whole
+    /// [`FleetCost::footprint_on`] working set until it leaves.
+    Contiguous {
+        /// The chip's KV budget ([`FleetCost::budget_on`]).
+        budget: u64,
+        /// Bytes reserved by resident jobs.
+        in_use: u64,
+    },
+    /// Fixed-size pages with prefix sharing and pruning-aware reclaim.
+    Paged(KvPager),
 }
 
-impl<'a, C: FleetCost> PagedCost<'a, C> {
-    /// Wraps `base` so fit-checks on chip `i` consult `pagers[i]`.
-    pub fn new(base: &'a mut C, pagers: &'a [KvPager]) -> Self {
-        Self { base, pagers }
-    }
-}
-
-impl<C: FleetCost> FleetCost for PagedCost<'_, C> {
-    fn prefill_on(&mut self, chip: usize, w: &Workload) -> StepCost {
-        self.base.prefill_on(chip, w)
+impl ChipKv {
+    /// An empty store of layout `spec` over `budget` bytes.
+    pub fn new(spec: KvSpec, budget: u64) -> Self {
+        match spec.block_bytes() {
+            None => ChipKv::Contiguous { budget, in_use: 0 },
+            Some(block) => ChipKv::Paged(KvPager::new(block, budget)),
+        }
     }
 
-    fn decode_on(&mut self, chip: usize, w: &Workload, context: usize) -> StepCost {
-        self.base.decode_on(chip, w, context)
+    /// Bytes pinned by resident jobs (and, paged, their live prefixes;
+    /// cached prefixes are resident but not in use).
+    pub fn in_use(&self) -> u64 {
+        match self {
+            ChipKv::Contiguous { in_use, .. } => *in_use,
+            ChipKv::Paged(p) => p.pinned_bytes(),
+        }
     }
 
-    fn footprint_on(&mut self, chip: usize, w: &Workload) -> u64 {
-        self.base.footprint_on(chip, w)
+    /// Bytes an admission fit check may assume — paged, whole blocks
+    /// only: a budget's sub-block remainder is never handed out.
+    pub fn free_bytes(&self) -> u64 {
+        match self {
+            ChipKv::Contiguous { budget, in_use } => budget.saturating_sub(*in_use),
+            ChipKv::Paged(p) => p.available_bytes(),
+        }
     }
 
-    fn budget_on(&self, chip: usize) -> u64 {
-        self.base.budget_on(chip)
+    /// What mapping `job` here would take out of [`ChipKv::free_bytes`]:
+    /// its working set, or paged, its [`KvPager::admission_bytes`] (shared
+    /// prefix blocks charged once per chip, a resumed victim at its
+    /// position on the retirement curve).
+    pub fn fit_bytes<C: FleetCost>(&self, cost: &mut C, chip: usize, job: &Job) -> u64 {
+        match self {
+            ChipKv::Contiguous { .. } => cost.footprint_on(chip, &job.workload),
+            ChipKv::Paged(p) => {
+                let need = JobKvNeed::of(cost, chip, job);
+                p.admission_bytes(&need, resume_steps(job))
+            }
+        }
     }
 
-    fn swap_cycles_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
-        self.base.swap_cycles_on(chip, w, tokens)
-    }
-
-    fn raw_kv_bytes_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
-        self.base.raw_kv_bytes_on(chip, w, tokens)
-    }
-
-    fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64 {
-        self.base.swap_bytes_cycles_on(chip, w, bytes)
-    }
-
-    fn handoff_cycles_on(
+    /// Maps `job` onto chip `chip` at `now`. Returns its resident
+    /// footprint (paged: its unique bytes) and the prefill cycles a
+    /// **warm** shared prefix lets it skip — KV an earlier sharer already
+    /// computed. The skip stops a cycle short of the whole pass, so a
+    /// fully cached prompt still runs one chunk.
+    pub fn map<C: FleetCost>(
         &mut self,
-        src: usize,
-        dst: usize,
+        cost: &mut C,
+        chip: usize,
+        job: &Job,
+        now: u64,
+    ) -> (u64, u64) {
+        match self {
+            ChipKv::Contiguous { in_use, .. } => {
+                let footprint = cost.footprint_on(chip, &job.workload);
+                *in_use += footprint;
+                (footprint, 0)
+            }
+            ChipKv::Paged(p) => {
+                let need = JobKvNeed::of(cost, chip, job);
+                let (warm, prefix_total) = p.warm_prefix_blocks(&need);
+                let mut skip = 0;
+                if warm > 0 {
+                    let w = &job.workload;
+                    let total = cost.prefill_on(chip, w).serial_cycles;
+                    let warm_tokens =
+                        job.shared_prefix_tokens.min(w.seq_len) as u64 * warm / prefix_total;
+                    skip = (total * warm_tokens / w.seq_len.max(1) as u64)
+                        .min(total.saturating_sub(1));
+                }
+                (p.map_job(job.id, need, resume_steps(job), now), skip)
+            }
+        }
+    }
+
+    /// Advances job `id` to `steps_done` decode steps and returns its
+    /// footprint: paged, the pruning curve frees whole blocks mid-stream;
+    /// a contiguous reservation never shrinks.
+    pub fn reclaim(&mut self, id: u64, steps_done: u64, footprint: u64) -> u64 {
+        match self {
+            ChipKv::Contiguous { .. } => footprint,
+            ChipKv::Paged(p) => p.reclaim(id, steps_done),
+        }
+    }
+
+    /// Releases job `id` (footprint `footprint`) at `now` and returns
+    /// the bytes a swap-out or handoff moves: the whole reservation, or
+    /// paged, only the unique pages (shared prefix blocks stay).
+    pub fn unmap(&mut self, id: u64, footprint: u64, now: u64) -> u64 {
+        match self {
+            ChipKv::Contiguous { in_use, .. } => {
+                *in_use -= footprint;
+                footprint
+            }
+            ChipKv::Paged(p) => {
+                let unique = p.job_unique_bytes(id);
+                p.unmap_job(id, now);
+                unique
+            }
+        }
+    }
+
+    /// One-way HBM cycles to swap `w`'s KV at `resume`'s progress:
+    /// contiguous, the tokens seen so far ([`FleetCost::swap_cycles_on`]);
+    /// paged, the `bytes` a map or unmap moved.
+    pub fn swap_cycles<C: FleetCost>(
+        &self,
+        cost: &mut C,
+        chip: usize,
         w: &Workload,
+        resume: &ResumeState,
         bytes: u64,
-        hops: u64,
-        link: &spatten_workloads::fleet::LinkSpec,
     ) -> u64 {
-        self.base.handoff_cycles_on(src, dst, w, bytes, hops, link)
+        match self {
+            ChipKv::Contiguous { .. } => {
+                let tokens = resume.kv_tokens(w, cost.prefill_on(chip, w).serial_cycles);
+                cost.swap_cycles_on(chip, w, tokens)
+            }
+            ChipKv::Paged(_) => cost.swap_bytes_cycles_on(chip, w, bytes),
+        }
     }
 
-    fn note_batch(&mut self, chip: usize, resident: usize) {
-        self.base.note_batch(chip, resident);
+    /// Bytes of `job`'s shared prefix a handoff must carry to this chip:
+    /// paged, the prefix blocks not already warm here; contiguous KV has
+    /// no block ledger, so the footprint the source ships covers it all.
+    pub fn cold_prefix_bytes<C: FleetCost>(&self, cost: &mut C, chip: usize, job: &Job) -> u64 {
+        match self {
+            ChipKv::Contiguous { .. } => 0,
+            ChipKv::Paged(p) => {
+                let need = JobKvNeed::of(cost, chip, job);
+                let (warm, total) = p.warm_prefix_blocks(&need);
+                (total - warm) * p.block_bytes()
+            }
+        }
     }
 
-    fn job_serial_on(&mut self, chip: usize, w: &Workload) -> u64 {
-        self.base.job_serial_on(chip, w)
+    /// Cumulative page counters (all zero for contiguous KV).
+    pub fn stats(&self) -> KvStats {
+        match self {
+            ChipKv::Contiguous { .. } => KvStats::default(),
+            ChipKv::Paged(p) => p.stats,
+        }
     }
 
-    fn first_token_on(&mut self, chip: usize, w: &Workload) -> u64 {
-        self.base.first_token_on(chip, w)
+    /// End-of-run check: every reservation was released (paged: see
+    /// [`KvPager::assert_drained`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any leak.
+    pub fn assert_drained(&mut self) {
+        match self {
+            ChipKv::Contiguous { in_use, .. } => assert_eq!(
+                *in_use, 0,
+                "contiguous KV drained with {in_use} bytes still reserved"
+            ),
+            ChipKv::Paged(p) => p.assert_drained(),
+        }
     }
+}
 
-    fn job_footprint_on(&mut self, chip: usize, job: &Job) -> u64 {
-        let need = JobKvNeed::of(self.base, chip, job);
-        let steps = job.resume.map_or(0, |r| r.steps_done as u64);
-        self.pagers[chip].admission_bytes(&need, steps)
-    }
+/// Decode steps a resumed job already ran (0 for a fresh arrival): its
+/// position on the retirement curve.
+fn resume_steps(job: &Job) -> u64 {
+    job.resume.map_or(0, |r| r.steps_done as u64)
 }
 
 #[cfg(test)]
@@ -756,19 +863,13 @@ mod tests {
         assert_eq!(p.free_blocks(), 128);
     }
 
-    #[test]
-    fn paged_cost_adapter_prices_fit_checks_through_the_pager() {
-        use crate::cost::CostModel;
-        use spatten_core::SpAttenConfig;
-        use spatten_workloads::Benchmark;
-
-        let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
-        let budget = cost.budget_on(0);
-        let mut pagers = vec![KvPager::new(16 * 1024, budget)];
-        let mut w = Benchmark::gpt2_small_wikitext2().workload();
-        w.seq_len = 256;
-        w.gen_steps = 32;
-        let job = |id: u64, shared: usize| Job {
+    /// A 256-token GPT-2 job generating 32 tokens, sharing the first
+    /// `shared` prompt tokens with its class.
+    fn gpt2_job(id: u64, shared: usize) -> Job {
+        let mut workload = spatten_workloads::Benchmark::gpt2_small_wikitext2().workload();
+        workload.seq_len = 256;
+        workload.gen_steps = 32;
+        Job {
             id,
             class: 0,
             priority: 0,
@@ -779,28 +880,84 @@ mod tests {
             resume: None,
             shared_prefix_tokens: shared,
             revoked: false,
-            workload: w.clone(),
-        };
-        // The default trait method is the contiguous charge.
-        let contiguous = cost.job_footprint_on(0, &job(1, 0));
-        assert_eq!(contiguous, cost.footprint_on(0, &w));
-        // First sharer pays prefix + unique through the adapter...
-        let first = {
-            let mut pc = PagedCost::new(&mut cost, &pagers);
-            pc.job_footprint_on(0, &job(1, 128))
-        };
-        let need = JobKvNeed::of(&mut cost, 0, &job(1, 128));
-        pagers[0].map_job(1, need, 0, 0);
-        // ...and once it is resident, the second sharer pays unique only.
-        let second = {
-            let mut pc = PagedCost::new(&mut cost, &pagers);
-            pc.job_footprint_on(0, &job(2, 128))
-        };
-        assert!(
-            second < first,
-            "shared prefix not discounted: {second} vs {first}"
+            workload,
+        }
+    }
+
+    fn cost() -> crate::cost::CostModel {
+        crate::cost::CostModel::end_to_end(spatten_core::SpAttenConfig::default(), 8)
+    }
+
+    #[test]
+    fn fit_bytes_charges_a_shared_prefix_once_per_chip() {
+        let mut cost = cost();
+        let budget = cost.budget_on(0);
+        // Contiguous: the plain working set, shared prefix or not.
+        let contiguous = ChipKv::new(KvSpec::Contiguous, budget);
+        let first = gpt2_job(1, 128);
+        assert_eq!(
+            contiguous.fit_bytes(&mut cost, 0, &first),
+            cost.footprint_on(0, &first.workload)
         );
-        pagers[0].unmap_job(1, 1);
+        // Paged: the first sharer pays prefix plus unique bytes...
+        let mut kv = ChipKv::new(KvSpec::paged(), budget);
+        let block = KvSpec::paged().block_bytes().expect("paged");
+        let prefix = JobKvNeed::of(&mut cost, 0, &first)
+            .shared_bytes
+            .div_ceil(block)
+            * block;
+        assert!(prefix > 0);
+        let charge = kv.fit_bytes(&mut cost, 0, &first);
+        let (unique, skip) = kv.map(&mut cost, 0, &first, 0);
+        assert_eq!(charge, prefix + unique);
+        assert_eq!(skip, 0, "a cold prefix skips no prefill");
+        // ...and once it is resident, the second pays unique only and
+        // maps onto the warm prefix, skipping the head of its prefill.
+        let second = gpt2_job(2, 128);
+        assert_eq!(kv.fit_bytes(&mut cost, 0, &second), unique);
+        let (unique2, skip2) = kv.map(&mut cost, 0, &second, 1);
+        assert_eq!(unique2, unique);
+        assert!(skip2 > 0, "a warm prefix skips the head of prefill");
+        assert_eq!(kv.cold_prefix_bytes(&mut cost, 0, &second), 0);
+        assert_eq!(kv.unmap(1, unique, 2), unique);
+        assert_eq!(kv.unmap(2, unique2, 3), unique2);
+        assert_eq!(kv.stats().shared_hits, 1);
+        kv.assert_drained();
+    }
+
+    #[test]
+    fn contiguous_store_reserves_whole_working_sets_until_unmapped() {
+        let mut cost = cost();
+        let budget = cost.budget_on(0);
+        let mut kv = ChipKv::new(KvSpec::Contiguous, budget);
+        assert_eq!(kv.free_bytes(), budget);
+        let a = gpt2_job(1, 128);
+        let (fa, skip) = kv.map(&mut cost, 0, &a, 0);
+        assert_eq!(fa, cost.footprint_on(0, &a.workload));
+        assert_eq!(skip, 0, "contiguous KV keeps no prefix to skip");
+        let (fb, _) = kv.map(&mut cost, 0, &gpt2_job(2, 0), 1);
+        assert_eq!(kv.in_use(), fa + fb);
+        assert_eq!(kv.free_bytes(), budget - fa - fb);
+        // Decode never shrinks a contiguous reservation.
+        assert_eq!(kv.reclaim(1, 40, fa), fa);
+        assert_eq!(kv.in_use(), fa + fb);
+        // Unmapping returns the whole reservation: what a swap moves.
+        assert_eq!(kv.unmap(1, fa, 2), fa);
+        assert_eq!(kv.free_bytes(), budget - fb);
+        assert_eq!(kv.cold_prefix_bytes(&mut cost, 0, &a), 0);
+        assert_eq!(kv.unmap(2, fb, 3), fb);
+        assert_eq!(kv.in_use(), 0);
+        assert_eq!(kv.stats(), KvStats::default());
+        kv.assert_drained();
+    }
+
+    #[test]
+    #[should_panic(expected = "still reserved")]
+    fn contiguous_drain_check_catches_a_leaked_reservation() {
+        let mut cost = cost();
+        let mut kv = ChipKv::new(KvSpec::Contiguous, cost.budget_on(0));
+        kv.map(&mut cost, 0, &gpt2_job(1, 0), 0);
+        kv.assert_drained();
     }
 
     #[test]

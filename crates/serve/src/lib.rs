@@ -9,7 +9,7 @@
 //! cycle-accurate perf model in exactly that harness:
 //!
 //! * [`cost`] — [`CostModel`]: memoized incremental cost queries
-//!   (`prefill`, per-token `decode`, KV-cache SRAM footprints) against
+//!   (prefill, per-token decode, KV-cache SRAM footprints) against
 //!   `spatten_core::perf`, optionally end-to-end with SpAtten-e2e FC
 //!   weight streaming. Memo entries are keyed by chip configuration, so a
 //!   heterogeneous fleet (Table-I chips next to 1/8-scale ones) never
@@ -42,12 +42,15 @@
 //!   serialization, and HBM-bandwidth-aware co-scheduling (one job's
 //!   compute overlaps another's KV/weight streaming; each resource
 //!   serializes within itself).
-//! * [`kv`] — the **paged KV allocator** ([`KvPager`], opt-in via
-//!   `SchedKnobs::kv`): fixed-size blocks per chip, per-job page tables,
-//!   refcounted copy-on-write sharing of per-class system-prompt
-//!   prefixes with a scored persistent prefix cache, and pruning-aware
-//!   mid-stream page reclaim as the cascade retires tokens. Fit checks
-//!   price through [`PagedCost`]; preemption swaps unique pages only.
+//! * [`kv`] — each chip's KV store, [`ChipKv`]: one contiguous
+//!   reservation per job, or (opt-in via `SchedKnobs::kv`) the **paged
+//!   KV allocator** [`KvPager`] — fixed-size blocks per chip, per-job
+//!   page tables, refcounted copy-on-write sharing of per-class
+//!   system-prompt prefixes with a scored persistent prefix cache, and
+//!   pruning-aware mid-stream page reclaim as the cascade retires
+//!   tokens. `ChipKv` is the only code that knows which layout a chip
+//!   runs: fit checks price through [`ChipKv::fit_bytes`], and
+//!   preemption swaps unique pages only.
 //! * [`disagg`] — the **disaggregation layer** ([`PoolSpec`], opt-in
 //!   via fleet roles): prefill-specialist and decode-specialist pools,
 //!   pool-aware arrival routing, and a priced prefill→decode KV handoff
@@ -127,7 +130,7 @@ pub use elastic::{
 pub use engine::{
     fleet_engine_policy, ns_to_cycles, FleetEngine, PolicyFleetEngine, TokenEvent, TokenSink,
 };
-pub use kv::{JobKvNeed, KvPager, KvSpec, KvStats, PagedCost};
+pub use kv::{ChipKv, JobKvNeed, KvPager, KvSpec, KvStats};
 pub use metrics::{ChipStats, ClassStats, FleetReport, LiveSnapshot, Percentiles};
 pub use preempt::{NoPreemption, PreemptionPolicy, PriorityPreemption, VictimView};
 pub use request::{Completion, Job, Rejection, ResumeState};

@@ -897,7 +897,6 @@ pub struct Scheduler<A: AdmissionPolicy, R: RoutingPolicy = SharedQueueRouting> 
     /// stealable jobs are fresh unprefilled arrivals, which need a
     /// prefill pass the specialist refuses to run.
     roles: Vec<PoolRole>,
-    admitted: u64,
     /// Reusable steal-scan ranking buffer (peer indices by backlog),
     /// refilled per [`Scheduler::steal_into`] call instead of allocated
     /// — the scan runs on every idle kick at saturation.
@@ -920,7 +919,6 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
             steals: vec![0; chips],
             stolen_cycles: vec![0; chips],
             roles: vec![PoolRole::Flex; chips],
-            admitted: 0,
             steal_scratch: Vec::with_capacity(chips),
         }
     }
@@ -966,11 +964,6 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     /// KV footprint estimate of `chip`'s private queue.
     pub fn pending_kv_on(&self, chip: usize) -> u64 {
         self.pending_kv[chip]
-    }
-
-    /// Total jobs handed to chips so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
     }
 
     /// Whether the routing policy ever places jobs (the event loop skips
@@ -1148,9 +1141,10 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     }
 
     /// Asks the policy what the calling chip should admit right now: its
-    /// private queue first, then the shared queue against whatever
-    /// capacity remains. Admitted and rejected jobs are removed from
-    /// their queue; an empty decision means the chip stays as it is.
+    /// private queue first ([`Scheduler::take_local`]), then the shared
+    /// queue against whatever capacity remains. Admitted and rejected
+    /// jobs are removed from their queue; an empty decision means the
+    /// chip stays as it is.
     pub fn take<C: FleetCost>(
         &mut self,
         cost: &mut C,
@@ -1158,12 +1152,7 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         cap: ChipCapacity,
         now: u64,
     ) -> Admission {
-        let mut out = self
-            .policy
-            .admit(&mut self.routed[chip], cost, chip, cap, now);
-        for job in out.jobs.iter().chain(out.rejected.iter()) {
-            self.discharge(chip, job, cost);
-        }
+        let mut out = self.take_local(cost, chip, cap, now);
         let mut cap = cap;
         for job in &out.jobs {
             cap.active += 1;
@@ -1173,16 +1162,16 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         let more = self.policy.admit(&mut self.shared, cost, chip, cap, now);
         out.jobs.extend(more.jobs);
         out.rejected.extend(more.rejected);
-        self.admitted += out.jobs.len() as u64;
         out
     }
 
     /// Like [`Scheduler::take`], but against `chip`'s private queue
-    /// only — the admission path of a *draining* chip
-    /// ([`Availability::Draining`]): after [`Scheduler::drain_chip`]
-    /// strips its unpinned jobs, the private queue holds only work whose
-    /// KV prefix lives in this chip's HBM, which the chip must finish
-    /// before departing; the shared queue belongs to the survivors.
+    /// only — all a *draining* chip
+    /// ([`Availability::Draining`]) admits: after
+    /// [`Scheduler::drain_chip`] strips its unpinned jobs, the private
+    /// queue holds only work whose KV prefix lives in this chip's HBM,
+    /// which the chip must finish before departing; the shared queue
+    /// belongs to the survivors.
     ///
     /// [`Availability::Draining`]: crate::elastic::Availability::Draining
     pub fn take_local<C: FleetCost>(
@@ -1198,7 +1187,6 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         for job in out.jobs.iter().chain(out.rejected.iter()) {
             self.discharge(chip, job, cost);
         }
-        self.admitted += out.jobs.len() as u64;
         out
     }
 
@@ -1322,7 +1310,7 @@ mod tests {
         for i in 0..20 {
             s.on_arrival(job(i, 256, 16), &mut c, &[], 0);
         }
-        let budget = c.kv_budget();
+        let budget = c.budget_on(0);
         let cap = ChipCapacity {
             active: 0,
             kv_free: budget,
@@ -1331,7 +1319,7 @@ mod tests {
         let got = s.take(&mut c, 0, cap, 0).jobs;
         assert!(!got.is_empty());
         assert!(got.len() < 20, "budget must bound the batch");
-        let used: u64 = got.iter().map(|j| c.kv_footprint_bytes(&j.workload)).sum();
+        let used: u64 = got.iter().map(|j| c.footprint_on(0, &j.workload)).sum();
         assert!(used <= budget, "batch footprint {used} > budget {budget}");
         // Arrival order preserved.
         let ids: Vec<u64> = got.iter().map(|j| j.id).collect();
@@ -1388,7 +1376,7 @@ mod tests {
         }
         let cap = ChipCapacity {
             active: 0,
-            kv_free: c.kv_budget(),
+            kv_free: c.budget_on(0),
             slots: 4,
         };
         let a: Vec<u64> = by_priority
@@ -1413,8 +1401,8 @@ mod tests {
         // followed by slim ones that will.
         let fat = job(0, 1024, 120);
         let slim = job(1, 48, 4);
-        let fat_fp = c.kv_footprint_bytes(&fat.workload);
-        let slim_fp = c.kv_footprint_bytes(&slim.workload);
+        let fat_fp = c.footprint_on(0, &fat.workload);
+        let slim_fp = c.footprint_on(0, &slim.workload);
         assert!(fat_fp > slim_fp);
         let cap = ChipCapacity {
             active: 1,
@@ -1440,7 +1428,7 @@ mod tests {
     fn kv_aware_barrier_blocks_at_the_bound() {
         let mut c = cost();
         let fat = job(0, 1024, 120);
-        let fat_fp = c.kv_footprint_bytes(&fat.workload);
+        let fat_fp = c.footprint_on(0, &fat.workload);
         let cap = ChipCapacity {
             active: 1,
             kv_free: fat_fp - 1,
@@ -1474,7 +1462,7 @@ mod tests {
         let mut hopeless = job(0, 256, 32);
         hopeless.deadline_cycles = Some(10); // cannot finish by cycle 10
         let mut winnable = job(1, 64, 4);
-        let serial = c.job_serial_cycles(&winnable.workload);
+        let serial = c.job_serial_on(0, &winnable.workload);
         winnable.deadline_cycles = Some(serial * 10);
         s.on_arrival(hopeless, &mut c, &[], 0);
         s.on_arrival(winnable, &mut c, &[], 0);
@@ -1572,7 +1560,7 @@ mod tests {
         let mut c = cost();
         let fresh = job(0, 128, 6);
         let full = remaining_cycles_on(&mut c, 0, &fresh);
-        assert_eq!(full, c.job_serial_cycles(&fresh.workload));
+        assert_eq!(full, c.job_serial_on(0, &fresh.workload));
         // Mid-prefill resume: the prefill remainder plus every decode.
         let mut mid = fresh.clone();
         mid.resume = Some(crate::request::ResumeState {

@@ -70,7 +70,7 @@ fn main() {
     let group_step = sharded.decode_on(0, &w, ctx).serial_cycles;
     let single_step = {
         let mut single = spatten::serve::CostModel::end_to_end(SpAttenConfig::default(), 8);
-        single.decode(&w, ctx).serial_cycles
+        single.decode_on(0, &w, ctx).serial_cycles
     };
     let clock_hz = SpAttenConfig::default().clock_ghz * 1e9;
     println!(
