@@ -45,5 +45,5 @@ pub use pipeline::{pipeline_cycles, StageTiming};
 pub use softmax_unit::SoftmaxUnit;
 pub use sort_network::OddEvenMergeNetwork;
 pub use sram::Sram;
-pub use topk::{BatcherSorter, TopkEngine, TopkResult};
+pub use topk::{BatcherSorter, TopkCost, TopkEngine, TopkResult};
 pub use zero_eliminator::ZeroEliminator;

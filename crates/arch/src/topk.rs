@@ -14,6 +14,15 @@
 //! `⌈m / parallelism⌉` cycles through the comparator arrays plus a small
 //! constant for pivot selection / state transition; the zero eliminator is
 //! pipelined and adds its latency once per pass.
+//!
+//! One quick-select core serves two queries: [`TopkEngine::select`] adds
+//! the filter pass that names the winners, and [`TopkEngine::select_cost`]
+//! returns only what the query costs. Both draw the same pivots and update
+//! the same lifetime counters, so a cost model can price a query without
+//! materialising its result. Only one side of a partition ever stays live,
+//! so the core counts both sides first and then compacts just the side the
+//! control logic keeps, in place, in a scratch buffer the engine reuses
+//! across queries: no query allocates per pass.
 
 use crate::zero_eliminator::ZeroEliminator;
 use rand::rngs::StdRng;
@@ -42,6 +51,19 @@ pub struct TopkResult {
     pub visits: u64,
 }
 
+/// What one top-k query costs, without its result: the `cycles`,
+/// `passes` and `visits` of the [`TopkResult`] the same query returns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopkCost {
+    /// Cycles the engine spent on this query.
+    pub cycles: u64,
+    /// Number of quick-select partition passes executed.
+    pub passes: u32,
+    /// Elements streamed through the comparator arrays during quick-select
+    /// (excludes the filter pass, whose length is always `n`).
+    pub visits: u64,
+}
+
 /// Configuration + statistics of the top-k engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TopkEngine {
@@ -49,6 +71,10 @@ pub struct TopkEngine {
     rng: StdRngState,
     total_cycles: u64,
     total_queries: u64,
+    /// The live FIFO of the running query, kept across queries so
+    /// partition passes reuse its storage.
+    #[serde(skip)]
+    live: Vec<f32>,
 }
 
 /// Seeded RNG wrapper so the engine stays deterministic and serializable.
@@ -85,6 +111,7 @@ impl TopkEngine {
             rng: StdRngState::new(seed),
             total_cycles: 0,
             total_queries: 0,
+            live: Vec::new(),
         }
     }
 
@@ -119,8 +146,59 @@ impl TopkEngine {
     ///
     /// Panics if any value is NaN (scores are fixed-point on hardware).
     pub fn select(&mut self, values: &[f32], k: usize) -> TopkResult {
+        let n = values.len();
+        let (cost, split) = self.quickselect(values, k);
+        let (indices, threshold) = match split {
+            Some((threshold, num_eq_kth)) => {
+                // Filter pass over the original buffer (order-preserving).
+                let mut indices = Vec::with_capacity(k);
+                let mut eq_left = num_eq_kth;
+                for (i, &v) in values.iter().enumerate() {
+                    if v > threshold {
+                        indices.push(i);
+                    } else if v == threshold && eq_left > 0 {
+                        indices.push(i);
+                        eq_left -= 1;
+                    }
+                }
+                debug_assert_eq!(indices.len(), k, "filter must emit exactly k items");
+                (indices, threshold)
+            }
+            None if k == 0 || n == 0 => (Vec::new(), f32::INFINITY),
+            None => (
+                (0..n).collect(),
+                values.iter().copied().fold(f32::INFINITY, f32::min),
+            ),
+        };
+        TopkResult {
+            indices,
+            threshold,
+            cycles: cost.cycles,
+            passes: cost.passes,
+            visits: cost.visits,
+        }
+    }
+
+    /// What [`TopkEngine::select`] would cost on the same input — the
+    /// same pivot draws, cycles, passes, visits and lifetime counters —
+    /// without the filter pass that materialises the winners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is NaN (scores are fixed-point on hardware).
+    pub fn select_cost(&mut self, values: &[f32], k: usize) -> TopkCost {
+        self.quickselect(values, k).0
+    }
+
+    /// Quick-select (Algorithm 3) shared by both queries: charges the
+    /// query to the lifetime counters and returns its cost, plus the
+    /// terminating pivot and how many elements equal to it the filter
+    /// pass lets through — `None` when `k` is zero or covers the whole
+    /// input, which needs no partition pass at all.
+    fn quickselect(&mut self, values: &[f32], k: usize) -> (TopkCost, Option<(f32, usize)>) {
+        // A non-short-circuiting fold vectorizes; `all` would not.
         assert!(
-            values.iter().all(|v| !v.is_nan()),
+            !values.iter().fold(false, |nan, v| nan | v.is_nan()),
             "top-k input must not contain NaN"
         );
         self.total_queries += 1;
@@ -128,98 +206,74 @@ impl TopkEngine {
 
         if k == 0 || n == 0 {
             self.total_cycles += PASS_OVERHEAD_CYCLES;
-            return TopkResult {
-                indices: Vec::new(),
-                threshold: f32::INFINITY,
+            let cost = TopkCost {
                 cycles: PASS_OVERHEAD_CYCLES,
                 passes: 0,
                 visits: 0,
             };
+            return (cost, None);
         }
         if k >= n {
             // Everything survives: one filter pass streams the buffer out.
             let cycles = self.pass_cycles(n);
             self.total_cycles += cycles;
-            let threshold = values.iter().copied().fold(f32::INFINITY, f32::min);
-            return TopkResult {
-                indices: (0..n).collect(),
-                threshold,
+            let cost = TopkCost {
                 cycles,
                 passes: 0,
                 visits: n as u64,
             };
+            return (cost, None);
         }
 
-        // --- Quick-select (Algorithm 3). ---
-        let mut fifo_l: Vec<f32> = values.to_vec();
-        let mut fifo_r: Vec<f32> = Vec::new();
+        // `live[..len]` is the set the last pass partitioned (at first the
+        // whole input, which is all FIFO_L); `below` / `above` count its
+        // FIFO_L / FIFO_R sides. The side the control logic keeps is
+        // compacted in place just before its pivot is drawn.
+        let mut live = std::mem::take(&mut self.live);
+        live.clear();
+        live.extend_from_slice(values);
+        let mut len = n;
+        let (mut below, mut above) = (n, 0usize);
         let mut target = k;
         let mut num_eq_pivot = 0usize;
         let mut pivot = f32::NAN; // set on the first pass
-        let mut cycles = 0u64;
-        let mut passes = 0u32;
-        let mut visits = 0u64;
+        let mut cost = TopkCost::default();
 
-        let (threshold, num_eq_kth) = loop {
+        let split = loop {
             // START state.
-            if fifo_r.len() + num_eq_pivot <= target {
+            if above + num_eq_pivot <= target {
                 // Pivot too large: the whole right side + equals survive.
-                target -= fifo_r.len() + num_eq_pivot;
-                fifo_r.clear();
-                if fifo_l.is_empty() {
+                target -= above + num_eq_pivot;
+                if below == 0 {
                     // All remaining mass was consumed exactly; the previous
                     // pivot is the threshold and no equals remain to pick.
                     break (pivot, 0);
                 }
-                pivot = fifo_l[self.rng.next_index(fifo_l.len())];
-                let live = std::mem::take(&mut fifo_l);
-                let (l, r, eq) = partition(&live, pivot);
-                cycles += self.pass_cycles(live.len());
-                passes += 1;
-                visits += live.len() as u64;
-                fifo_l = l;
-                fifo_r = r;
-                num_eq_pivot = eq;
-            } else if fifo_r.len() > target {
+                // Drop FIFO_R and the equals; before the first pass there
+                // is nothing to drop.
+                if below < len {
+                    len = compact(&mut live[..len], |v| v < pivot);
+                }
+            } else if above > target {
                 // Pivot too small: only the right side can matter.
-                fifo_l.clear();
-                pivot = fifo_r[self.rng.next_index(fifo_r.len())];
-                let live = std::mem::take(&mut fifo_r);
-                let (l, r, eq) = partition(&live, pivot);
-                cycles += self.pass_cycles(live.len());
-                passes += 1;
-                visits += live.len() as u64;
-                fifo_l = l;
-                fifo_r = r;
-                num_eq_pivot = eq;
+                len = compact(&mut live[..len], |v| v > pivot);
             } else {
                 // size(R) ≤ target < size(R) + num_eq_pivot: found it.
-                break (pivot, target - fifo_r.len());
+                break (pivot, target - above);
             }
+            pivot = live[self.rng.next_index(len)];
+            (below, above) = count_sides(&live[..len], pivot);
+            num_eq_pivot = len - below - above;
+            cost.cycles += self.pass_cycles(len);
+            cost.passes += 1;
+            cost.visits += len as u64;
         };
 
-        // --- Filter pass over the original buffer (order-preserving). ---
-        cycles += self.pass_cycles(n);
-        let mut indices = Vec::with_capacity(k);
-        let mut eq_left = num_eq_kth;
-        for (i, &v) in values.iter().enumerate() {
-            if v > threshold {
-                indices.push(i);
-            } else if v == threshold && eq_left > 0 {
-                indices.push(i);
-                eq_left -= 1;
-            }
-        }
-        debug_assert_eq!(indices.len(), k, "filter must emit exactly k items");
-
-        self.total_cycles += cycles;
-        TopkResult {
-            indices,
-            threshold,
-            cycles,
-            passes,
-            visits,
-        }
+        // The filter pass over the original buffer.
+        cost.cycles += self.pass_cycles(n);
+        self.live = live;
+        self.total_cycles += cost.cycles;
+        (cost, Some(split))
     }
 
     /// Steady-state initiation interval of this query when queries stream
@@ -228,27 +282,55 @@ impl TopkEngine {
     /// side (its own FIFO + zero eliminator, Fig. 9 left) streams `n`
     /// elements concurrently. Pipeline fill latencies amortize away.
     pub fn steady_interval(&self, result: &TopkResult, n: usize) -> u64 {
+        self.steady_interval_of(
+            &TopkCost {
+                cycles: result.cycles,
+                passes: result.passes,
+                visits: result.visits,
+            },
+            n,
+        )
+    }
+
+    /// [`TopkEngine::steady_interval`] of a query priced by
+    /// [`TopkEngine::select_cost`].
+    pub fn steady_interval_of(&self, cost: &TopkCost, n: usize) -> u64 {
         let p = self.parallelism as u64;
-        let select = result.visits.div_ceil(p) + u64::from(result.passes);
+        let select = cost.visits.div_ceil(p) + u64::from(cost.passes);
         let filter = (n as u64).div_ceil(p) + 1;
         select.max(filter).max(1)
     }
 }
 
-fn partition(live: &[f32], pivot: f32) -> (Vec<f32>, Vec<f32>, usize) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let mut eq = 0usize;
-    for &v in live {
-        if v < pivot {
-            left.push(v);
-        } else if v > pivot {
-            right.push(v);
-        } else {
-            eq += 1;
+/// How many of `live` fall below and above `pivot` (the FIFO_L / FIFO_R
+/// sizes of a partition pass; the rest equal it). Branch-free, with
+/// 32-bit counters over bounded chunks so the loop vectorizes.
+fn count_sides(live: &[f32], pivot: f32) -> (usize, usize) {
+    let (mut below, mut above) = (0usize, 0usize);
+    for chunk in live.chunks(1 << 16) {
+        let (mut lo, mut hi) = (0u32, 0u32);
+        for &v in chunk {
+            lo += u32::from(v < pivot);
+            hi += u32::from(v > pivot);
         }
+        below += lo as usize;
+        above += hi as usize;
     }
-    (left, right, eq)
+    (below, above)
+}
+
+/// Compacts the elements of `live` that satisfy `keep` to its front, in
+/// order, and returns how many there are — the zero eliminator's job.
+/// Every element is written and only the cursor moves conditionally, so
+/// the loop has no data-dependent branch to mispredict.
+fn compact(live: &mut [f32], keep: impl Fn(f32) -> bool) -> usize {
+    let mut kept = 0usize;
+    for i in 0..live.len() {
+        let v = live[i];
+        live[kept] = v;
+        kept += usize::from(keep(v));
+    }
+    kept
 }
 
 /// Reference selection: indices of the `k` largest, original order, ties by

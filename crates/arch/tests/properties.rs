@@ -52,6 +52,30 @@ proptest! {
     }
 
     #[test]
+    fn topk_cost_query_matches_select(
+        vals in prop::collection::vec(-6i32..6, 0..300),
+        k_pick in 0usize..100_000,
+        seed in 0u64..1000,
+        parallelism in 1usize..33,
+    ) {
+        // Heavy duplicates, and k anywhere in 0..=n+1.
+        let vals: Vec<f32> = vals.iter().map(|&v| v as f32 / 2.0).collect();
+        let n = vals.len();
+        let k = k_pick % (n + 2);
+        let mut full = TopkEngine::new(parallelism, seed);
+        let mut cost_only = TopkEngine::new(parallelism, seed);
+        let r = full.select(&vals, k);
+        let c = cost_only.select_cost(&vals, k);
+        prop_assert_eq!((c.cycles, c.passes, c.visits), (r.cycles, r.passes, r.visits));
+        prop_assert_eq!(cost_only.steady_interval_of(&c, n), full.steady_interval(&r, n));
+        prop_assert_eq!(cost_only.total_cycles(), full.total_cycles());
+        prop_assert_eq!(cost_only.total_queries(), full.total_queries());
+        // Both engines drew the same pivots, so they stay in step.
+        let k2 = (k_pick / 7) % (n + 2);
+        prop_assert_eq!(cost_only.select(&vals, k2), full.select(&vals, k2));
+    }
+
+    #[test]
     fn zero_eliminator_equals_filter(
         lanes in prop::collection::vec(prop::option::of(0u32..100), 0..64),
     ) {

@@ -31,6 +31,13 @@
 //! enforced on every bench run, and the serial/parallel wall-clock ratio
 //! is recorded.
 //!
+//! Before the grid, a kernel-level point times one cycle-model memo miss
+//! — `decode_step_cost` (GPT-2 small, context 1,024) and `prefill_cost`
+//! (256 tokens) on the Table-I chip, best of [`KERNEL_CALLS`] — and
+//! writes both under `cycle_model`. Full runs must beat the checked-in
+//! baselines by [`KERNEL_FLOOR_X`]; smoke runs must be no slower than
+//! them.
+//!
 //! Usage:
 //!
 //! ```text
@@ -47,12 +54,13 @@
 //! generating Poisson traces; floors are not enforced on replays, whose
 //! offered load is whatever the log says it was.
 
-use spatten_core::SpAttenConfig;
+use spatten_core::{decode_step_cost, prefill_cost, SpAttenConfig};
 use spatten_serve::json::{array, JsonObject};
 use spatten_serve::{
     simulate_fleet, FleetConfig, FleetReport, KvSpec, Policy, PoolSpec, RouteSpec, SimMode,
 };
-use spatten_workloads::{ArrivalSpec, Trace, TraceSpec};
+use spatten_workloads::{ArrivalSpec, Benchmark, Trace, TraceSpec, Workload};
+use std::hint::black_box;
 
 /// Aggregate events/sec the pre-optimization revision sustained on the
 /// 10k/100k cells of this grid (the first point of the
@@ -65,6 +73,20 @@ const FULL_FLOOR_X: f64 = 3.0;
 /// Smoke runs (2k-request cells on noisy shared CI runners, where
 /// fixed costs dominate) must clear this absolute events/sec bar.
 const SMOKE_FLOOR_EPS: f64 = 100_000.0;
+/// Best-of-`KERNEL_CALLS` µs of one `decode_step_cost` call (GPT-2 small,
+/// context 1,024, Table I) before the HBM stripe accumulator and the
+/// allocation-free top-k cost query: the median of 11 runs on a 2-vCPU
+/// x86-64 VM (min 918, quartiles 997–1,477 µs).
+const BASELINE_DECODE_US: f64 = 1_436.0;
+/// Best-of-`KERNEL_CALLS` µs of one `prefill_cost` call (GPT-2 small,
+/// 256 tokens, Table I) at the same revision, runs and host (min 542,
+/// quartiles 558–975 µs).
+const BASELINE_PREFILL_US: f64 = 915.0;
+/// Full runs must beat both kernel baselines by this factor; smoke runs
+/// must merely not be slower than them.
+const KERNEL_FLOOR_X: f64 = 2.0;
+/// Calls per kernel point; the fastest one is reported.
+const KERNEL_CALLS: usize = 31;
 
 struct Args {
     smoke: bool,
@@ -245,9 +267,53 @@ fn run_trace_cell(shape: &Shape, trace: &Trace, rate: f64, seed: u64, gen_wall_s
     cell
 }
 
+/// GPT-2 small at `len` tokens with no generation stage — the shape a
+/// serving memo miss prices.
+fn gpt2_at(len: usize) -> Workload {
+    Workload {
+        seq_len: len,
+        gen_steps: 0,
+        ..Benchmark::gpt2_small_wikitext2().workload()
+    }
+}
+
+/// Fastest of [`KERNEL_CALLS`] timed calls of `f`, in µs.
+fn best_us(f: impl Fn()) -> f64 {
+    (0..KERNEL_CALLS)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times one cycle-model memo miss per kind on the Table-I chip:
+/// `(decode µs, prefill µs)`.
+fn time_cycle_model() -> (f64, f64) {
+    let cfg = SpAttenConfig::default();
+    let decode_w = gpt2_at(1024);
+    let prefill_w = gpt2_at(256);
+    let decode_us = best_us(|| {
+        black_box(decode_step_cost(&cfg, black_box(&decode_w), 1024));
+    });
+    let prefill_us = best_us(|| {
+        black_box(prefill_cost(&cfg, black_box(&prefill_w)));
+    });
+    (decode_us, prefill_us)
+}
+
 fn main() {
     let wall = std::time::Instant::now();
     let args = parse_args();
+    let (decode_us, prefill_us) = time_cycle_model();
+    let kernel_floor_x = if args.smoke { 1.0 } else { KERNEL_FLOOR_X };
+    eprintln!(
+        "cycle model: decode@1024 {decode_us:.0} µs ({:.2}x), prefill@256 {prefill_us:.0} µs \
+         ({:.2}x) vs baselines {BASELINE_DECODE_US:.0} / {BASELINE_PREFILL_US:.0} µs",
+        BASELINE_DECODE_US / decode_us,
+        BASELINE_PREFILL_US / prefill_us
+    );
     let sizes: Vec<usize> = [10_000usize, 100_000, 1_000_000]
         .into_iter()
         .map(|s| s.min(args.max_requests))
@@ -379,6 +445,19 @@ fn main() {
         .f64("sim_wall_s", total_sim_wall)
         .f64("sim_events_per_sec", aggregate_eps)
         .f64("speedup_vs_baseline", aggregate_eps / BASELINE_EPS)
+        .raw(
+            "cycle_model",
+            &JsonObject::new()
+                .u64("calls", KERNEL_CALLS as u64)
+                .f64("decode_us", decode_us)
+                .f64("prefill_us", prefill_us)
+                .f64("baseline_decode_us", BASELINE_DECODE_US)
+                .f64("baseline_prefill_us", BASELINE_PREFILL_US)
+                .f64("speedup_decode", BASELINE_DECODE_US / decode_us)
+                .f64("speedup_prefill", BASELINE_PREFILL_US / prefill_us)
+                .f64("floor_x", kernel_floor_x)
+                .build(),
+        )
         .raw("cells", &array(cells.iter().map(Cell::json)));
     if let Some(p) = parallel {
         json = json.raw("parallel", &p.build());
@@ -407,6 +486,20 @@ fn main() {
         );
         eprintln!("floor check: {aggregate_eps:.0} events/s >= {floor:.0} events/s — ok");
     }
+    // The kernel floor: full runs must beat both cycle-model baselines by
+    // KERNEL_FLOOR_X, smoke runs must not be slower than them.
+    for (name, us, base) in [
+        ("decode", decode_us, BASELINE_DECODE_US),
+        ("prefill", prefill_us, BASELINE_PREFILL_US),
+    ] {
+        assert!(
+            us * kernel_floor_x <= base,
+            "cycle-model {name} regressed: {us:.0} µs is over the {:.0} µs floor \
+             ({kernel_floor_x}x under the {base:.0} µs baseline)",
+            base / kernel_floor_x
+        );
+    }
+    eprintln!("kernel floor check: {kernel_floor_x}x under the cycle-model baselines — ok");
     if let Some(path) = &args.out {
         std::fs::write(path, format!("{json}\n")).expect("write --out");
         eprintln!("wrote report to {path}");

@@ -231,13 +231,23 @@ impl<'a> Sim<'a> {
     fn enqueue_scattered(&mut self, tokens: usize, span: usize, bytes_per_token: u64) {
         let base = self.addr_cursor;
         let span = span.max(tokens).max(1);
-        for i in 0..tokens {
-            let original_slot = (i * span) / tokens.max(1);
+        // Token `i` sits at original slot `⌊i·span / tokens⌋`, stepped
+        // incrementally: `span / tokens` slots per token plus a carry
+        // each time the remainders add up to another whole token.
+        let (step, rem) = (span / tokens.max(1), span % tokens.max(1));
+        let (mut slot, mut carry) = (0usize, 0usize);
+        for _ in 0..tokens {
             self.hbm.enqueue(Request {
-                addr: base + original_slot as u64 * bytes_per_token,
+                addr: base + slot as u64 * bytes_per_token,
                 bytes: bytes_per_token,
                 kind: RequestKind::Read,
             });
+            slot += step;
+            carry += rem;
+            if carry >= tokens {
+                carry -= tokens;
+                slot += 1;
+            }
         }
         self.counts.xbar_requests += tokens as u64;
         self.addr_cursor = base + span as u64 * bytes_per_token;
@@ -260,9 +270,9 @@ impl<'a> Sim<'a> {
         let mut comparisons = 0u64;
         for s in 0..2u64 {
             let scores = synth::synthetic_scores(l1, &[], 0.0, self.w.seed ^ (l1 as u64) ^ s);
-            let r = self.engine.select(&scores, keep);
-            total += self.engine.steady_interval(&r, l1);
-            comparisons += r.visits + l1 as u64;
+            let cost = self.engine.select_cost(&scores, keep);
+            total += self.engine.steady_interval_of(&cost, l1);
+            comparisons += cost.visits + l1 as u64;
         }
         (total / 2, comparisons / 2)
     }
@@ -403,9 +413,9 @@ impl<'a> Sim<'a> {
         if self.cfg.token_pruning && tp_l1 > 2 {
             let scores =
                 synth::synthetic_scores(tp_l1, &[], 0.0, self.w.seed ^ 0xABCD ^ tp_l1 as u64);
-            let r = self.engine.select(&scores, (tp_l1 * 3) / 4);
-            tally.topk += r.cycles;
-            self.counts.topk_comparisons += r.visits + tp_l1 as u64;
+            let cost = self.engine.select_cost(&scores, (tp_l1 * 3) / 4);
+            tally.topk += cost.cycles;
+            self.counts.topk_comparisons += cost.visits + tp_l1 as u64;
         }
         if self.cfg.head_pruning {
             tally.topk += 4; // h ≤ 16: single-beat selection

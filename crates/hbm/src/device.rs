@@ -86,9 +86,144 @@ pub struct Hbm {
     map: AddressMap,
     channels: Vec<Channel>,
     pending: Vec<Vec<(u64, u64, bool)>>, // per channel: (row, bytes, is_write)
+    /// Whole aligned interleave blocks not yet placed in `pending`; `None`
+    /// when the channel width does not divide the interleave granularity,
+    /// so every chunk is walked.
+    stripe: Option<StripeBlocks>,
     lifetime_activations: u64,
     lifetime_read_bytes: u64,
     lifetime_write_bytes: u64,
+}
+
+/// Per-channel counts of whole, interleave-aligned blocks of one kind
+/// that all fall in one row stripe (`channels × row_bytes` bytes), and
+/// so on row `stripe` of every channel they touch.
+///
+/// Every such block is a same-row, same-kind follow-up whose byte count
+/// is a multiple of the channel width, so the per-chunk merge rule
+/// would fold all of a channel's blocks into one queue entry: the counts
+/// are all [`StripeBlocks::flush`] needs to reproduce the queues exactly.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct StripeBlocks {
+    /// Interleave blocks per row stripe.
+    per_stripe: u64,
+    /// Row stripe index — the row every counted block lands on.
+    stripe: u64,
+    is_write: bool,
+    /// Any block counted since the last flush.
+    any: bool,
+    /// Blocks every channel holds.
+    all: u64,
+    /// Difference array (`channels + 1` slots) of the extra block that a
+    /// run's last `n % channels` blocks put on a cyclic channel range.
+    extra: Vec<i64>,
+}
+
+impl StripeBlocks {
+    /// The accumulator for `config`, if its channel width divides its
+    /// interleave granularity (so every whole block is beat-aligned).
+    fn new(config: &HbmConfig) -> Option<Self> {
+        config
+            .interleave_bytes
+            .is_multiple_of(config.bytes_per_cycle)
+            .then(|| Self {
+                per_stripe: config.channels as u64 * (config.row_bytes / config.interleave_bytes),
+                stripe: 0,
+                is_write: false,
+                any: false,
+                all: 0,
+                extra: vec![0; config.channels + 1],
+            })
+    }
+
+    /// Counts `n` whole interleave blocks starting at global block index
+    /// `block`, one row stripe at a time, flushing into `pending` first
+    /// whenever the stripe or the kind changes.
+    fn count(
+        &mut self,
+        pending: &mut [Vec<(u64, u64, bool)>],
+        config: &HbmConfig,
+        mut block: u64,
+        mut n: u64,
+        is_write: bool,
+    ) {
+        use crate::address::{fast_div, fast_mod};
+        let channels = config.channels as u64;
+        while n > 0 {
+            let stripe = fast_div(block, self.per_stripe);
+            let run = n.min(self.per_stripe - fast_mod(block, self.per_stripe));
+            if self.any && (self.stripe != stripe || self.is_write != is_write) {
+                self.flush(pending, config);
+            }
+            self.stripe = stripe;
+            self.is_write = is_write;
+            self.any = true;
+            self.all += fast_div(run, channels);
+            let first = fast_mod(block, channels) as usize;
+            let last = first + fast_mod(run, channels) as usize;
+            if last > first {
+                self.extra[first] += 1;
+                if last <= channels as usize {
+                    self.extra[last] -= 1;
+                } else {
+                    self.extra[channels as usize] -= 1;
+                    self.extra[0] += 1;
+                    self.extra[last - channels as usize] -= 1;
+                }
+            }
+            block += run;
+            n -= run;
+        }
+    }
+
+    /// Moves the counted blocks into the channel queues: one entry or
+    /// merge per channel that holds any.
+    fn flush(&mut self, pending: &mut [Vec<(u64, u64, bool)>], config: &HbmConfig) {
+        if !self.any {
+            return;
+        }
+        let mut extra = 0i64;
+        for (queue, slot) in pending.iter_mut().zip(self.extra.iter_mut()) {
+            extra += std::mem::take(slot);
+            let blocks = self.all + extra as u64;
+            if blocks > 0 {
+                let bytes = blocks * config.interleave_bytes;
+                push_merged(
+                    queue,
+                    self.stripe,
+                    bytes,
+                    self.is_write,
+                    config.bytes_per_cycle,
+                );
+            }
+        }
+        *self.extra.last_mut().expect("channels + 1 slots") = 0;
+        self.all = 0;
+        self.any = false;
+    }
+}
+
+/// Appends `bytes` on `row` to a channel queue, folding them into the
+/// tail entry when it is a same-row, same-kind entry whose byte count is
+/// a multiple of the channel width `width`.
+#[inline]
+fn push_merged(
+    queue: &mut Vec<(u64, u64, bool)>,
+    row: u64,
+    bytes: u64,
+    is_write: bool,
+    width: u64,
+) {
+    match queue.last_mut() {
+        Some(tail)
+            if tail.0 == row
+                && tail.2 == is_write
+                && crate::address::fast_mod(tail.1, width) == 0 =>
+        {
+            tail.1 += bytes;
+        }
+        _ => queue.push((row, bytes, is_write)),
+    }
 }
 
 impl Hbm {
@@ -100,6 +235,7 @@ impl Hbm {
             map,
             channels: (0..config.channels).map(|_| Channel::new()).collect(),
             pending: vec![Vec::new(); config.channels],
+            stripe: StripeBlocks::new(&config),
             lifetime_activations: 0,
             lifetime_read_bytes: 0,
             lifetime_write_bytes: 0,
@@ -118,30 +254,74 @@ impl Hbm {
 
     /// Queues a request, splitting it into per-channel interleave blocks.
     ///
-    /// Two exact shortcuts keep this off the profile without changing a
-    /// single cycle of the resulting [`DrainStats`]:
+    /// The resulting [`DrainStats`] are exactly those of queueing every
+    /// interleave chunk as its own entry and draining them one by one;
+    /// three exact shortcuts get there with far less work:
     ///
-    /// * The (channel, row) of consecutive interleave blocks is carried
-    ///   incrementally — channels rotate by one per block, the
-    ///   channel-local block index bumps when the rotation wraps — so
-    ///   the per-chunk address divisions disappear from the loop.
     /// * A chunk landing on the same row as its channel's queue tail is
     ///   merged into that entry when the tail's byte count is a multiple
     ///   of the channel width: `ceil((a+b)/w) = a/w + ceil(b/w)` when
     ///   `w | a`, and a same-row follow-up is a guaranteed row hit, so
     ///   the merged entry drains to identical cycles, activations and
     ///   byte counters as the split one.
+    /// * When the channel width divides the interleave granularity, the
+    ///   request's whole, aligned interleave blocks are not walked at
+    ///   all. Within one row stripe (`channels × row_bytes` bytes) every
+    ///   such block lands on the same row of its channel and, by the rule
+    ///   above, merges with the channel's previous block of the stripe.
+    ///   So a run of `n` blocks only adds `n / channels` blocks to every
+    ///   channel and one more to a cyclic range of `n % channels`
+    ///   channels — O(1) per request in a difference array. The counts
+    ///   flush into the queues, one entry or merge per channel, when the
+    ///   stripe or the kind changes, before any chunk is walked, and at
+    ///   [`Hbm::drain`], so no queue ever sees its entries reordered.
+    /// * Chunks that are walked — the partial head and tail blocks of an
+    ///   unaligned request, and every chunk when the width does not
+    ///   divide the interleave — carry their (channel, row) incrementally:
+    ///   channels rotate by one per block and the channel-local block
+    ///   index bumps when the rotation wraps, so the walk does no address
+    ///   division per chunk.
     pub fn enqueue(&mut self, req: Request) {
         use crate::address::{fast_div, fast_mod};
         let is_write = req.kind == RequestKind::Write;
         let interleave = self.config.interleave_bytes;
-        let channels = self.config.channels as u64;
-        let width = self.config.bytes_per_cycle;
-        let mut addr = req.addr;
-        let mut remaining = req.bytes;
-        if remaining == 0 {
+        if req.bytes == 0 {
             return;
         }
+        if self.stripe.is_none() {
+            self.walk_chunks(req.addr, req.bytes, is_write);
+            return;
+        }
+        let end = req.addr + req.bytes;
+        let mut addr = req.addr;
+        let within = fast_mod(addr, interleave);
+        if within != 0 {
+            let head = (interleave - within).min(req.bytes);
+            self.walk_chunks(addr, head, is_write);
+            addr += head;
+        }
+        let blocks = fast_div(end - addr, interleave);
+        if blocks > 0 {
+            if let Some(acc) = &mut self.stripe {
+                let first = fast_div(addr, interleave);
+                acc.count(&mut self.pending, &self.config, first, blocks, is_write);
+            }
+            addr += blocks * interleave;
+        }
+        if addr < end {
+            self.walk_chunks(addr, end - addr, is_write);
+        }
+    }
+
+    /// Queues `[addr, addr + bytes)` chunk by chunk, one interleave chunk
+    /// at a time, after flushing any counted stripe blocks ahead of it.
+    fn walk_chunks(&mut self, mut addr: u64, bytes: u64, is_write: bool) {
+        use crate::address::{fast_div, fast_mod};
+        self.flush_stripe();
+        let interleave = self.config.interleave_bytes;
+        let channels = self.config.channels as u64;
+        let width = self.config.bytes_per_cycle;
+        let mut remaining = bytes;
         let block = fast_div(addr, interleave);
         let mut channel = fast_mod(block, channels) as usize;
         // `channel_block * interleave` for the current block; advances a
@@ -151,15 +331,7 @@ impl Hbm {
             let within = fast_mod(addr, interleave);
             let chunk = (interleave - within).min(remaining);
             let row = fast_div(channel_base + within, self.config.row_bytes);
-            let queue = &mut self.pending[channel];
-            match queue.last_mut() {
-                Some(tail)
-                    if tail.0 == row && tail.2 == is_write && fast_mod(tail.1, width) == 0 =>
-                {
-                    tail.1 += chunk;
-                }
-                _ => queue.push((row, chunk, is_write)),
-            }
+            push_merged(&mut self.pending[channel], row, chunk, is_write, width);
             remaining -= chunk;
             if remaining == 0 {
                 break;
@@ -173,12 +345,20 @@ impl Hbm {
         }
     }
 
+    /// Moves any counted stripe blocks into the channel queues.
+    fn flush_stripe(&mut self) {
+        if let Some(acc) = &mut self.stripe {
+            acc.flush(&mut self.pending, &self.config);
+        }
+    }
+
     /// Drains all queued requests, returning the batch statistics.
     ///
     /// The batch latency is the busy time of the slowest channel — the
     /// datapath overlaps DRAM access with compute, so this is the number the
     /// pipeline model needs.
     pub fn drain(&mut self) -> DrainStats {
+        self.flush_stripe();
         let mut stats = DrainStats {
             cycles: 0,
             total_channel_busy: 0,
@@ -247,6 +427,7 @@ impl Hbm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hbm() -> Hbm {
         Hbm::new(HbmConfig::default())
@@ -409,8 +590,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn coalesced_enqueue_matches_per_chunk_reference() {
+    /// Configs the property runs on: the default stack, the Table-I chip's
+    /// 32-byte-beat stack and its two-channel 1/8 variant (both take the
+    /// whole-block path), and an odd stack whose beat does not divide the
+    /// interleave (every chunk walked).
+    fn property_configs() -> [HbmConfig; 4] {
+        let table1 = HbmConfig {
+            bytes_per_cycle: 32,
+            activation_cycles: 14,
+            clock_ghz: 1.0,
+            ..HbmConfig::default()
+        };
+        let eighth = HbmConfig {
+            channels: 2,
+            ..table1
+        };
         let odd = HbmConfig {
             channels: 12,
             bytes_per_cycle: 10,
@@ -419,48 +613,107 @@ mod tests {
             activation_cycles: 7,
             clock_ghz: 1.5,
         };
-        for cfg in [HbmConfig::default(), odd] {
-            let mut fast = Hbm::new(cfg);
-            let mut slow = RefHbm::new(cfg);
-            // Scattered pruned-token reads: same size, monotone addresses
-            // with gaps — the pattern the cost model's K/V planes issue.
-            let bpt = 576u64;
-            for i in 0..100u64 {
-                let req = Request {
-                    addr: (i * 4 / 3) * bpt,
-                    bytes: bpt,
-                    kind: RequestKind::Read,
-                };
-                fast.enqueue(req);
-                slow.enqueue(req);
+        [HbmConfig::default(), table1, eighth, odd]
+    }
+
+    /// Token-row sizes: 528 bytes is GPT-2-small's 6-bit MSB plane with
+    /// 11 surviving heads (unaligned at one end on a 32-byte interleave);
+    /// the others are aligned planes, ragged sizes and sub-block rows.
+    const ROW_BYTES: [u64; 8] = [528, 576, 480, 352, 768, 24, 33, 100];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The whole-block stripe counts and the carried per-chunk walk
+        /// drain to exactly what queueing every interleave chunk on its
+        /// own gives, draining after every op that asks for it and at the
+        /// end, on every config — lifetime counters included.
+        #[test]
+        fn coalesced_enqueue_matches_per_chunk_reference(
+            ops in prop::collection::vec((0u8..8, 0u64..4096, 0u64..64, 0u64..4096), 1..48),
+        ) {
+            for cfg in property_configs() {
+                let mut fast = Hbm::new(cfg);
+                let mut slow = RefHbm::new(cfg);
+                let stripe = cfg.channels as u64 * cfg.row_bytes;
+                let mut cursor = 0u64;
+                let mut sums = [0u64; 3];
+                let mut reqs = Vec::new();
+                for (i, &(op, a, b, c)) in ops.iter().enumerate() {
+                    let kind = if b % 2 == 0 { RequestKind::Read } else { RequestKind::Write };
+                    reqs.clear();
+                    match op {
+                        // Gapped token rows: `tokens` survivors scattered
+                        // over `span` slots, as the cost model's K/V planes.
+                        0 | 1 => {
+                            let bpt = ROW_BYTES[(a % 8) as usize];
+                            let tokens = b + 1;
+                            let span = tokens + c % 96;
+                            for t in 0..tokens {
+                                let addr = cursor + (t * span / tokens) * bpt;
+                                reqs.push(Request { addr, bytes: bpt, kind: RequestKind::Read });
+                            }
+                            cursor += span * bpt;
+                        }
+                        // One request with an unaligned head and tail.
+                        2 => {
+                            reqs.push(Request { addr: cursor + a % 97, bytes: c + 1, kind });
+                            cursor += a % 97 + c + 1;
+                        }
+                        // Backwards: re-touch rows behind the cursor.
+                        3 => {
+                            let addr = cursor.saturating_sub(a * 7);
+                            reqs.push(Request { addr, bytes: c % 2048 + 1, kind });
+                        }
+                        // Straddle a row-stripe boundary.
+                        4 => {
+                            let edge = (cursor / stripe + 1) * stripe;
+                            let back = (a % 3).min(edge / 32) * 32 + b % 3;
+                            reqs.push(Request { addr: edge - back, bytes: back + c + 1, kind });
+                            cursor = edge + c + 1;
+                        }
+                        // A write interleaved between two aligned reads.
+                        5 => {
+                            let bpt = ROW_BYTES[(a % 5) as usize];
+                            for (j, kind) in [RequestKind::Read, RequestKind::Write, RequestKind::Read]
+                                .into_iter()
+                                .enumerate()
+                            {
+                                reqs.push(Request { addr: cursor + j as u64 * bpt, bytes: bpt, kind });
+                            }
+                            cursor += 3 * bpt;
+                        }
+                        // A long aligned run across many stripes, or nothing.
+                        6 => {
+                            let bytes = if c % 8 == 0 { 0 } else { c * 32 };
+                            reqs.push(Request { addr: cursor / 32 * 32, bytes, kind });
+                            cursor += bytes;
+                        }
+                        // Drain mid-stream.
+                        _ => {}
+                    }
+                    for &req in &reqs {
+                        fast.enqueue(req);
+                        slow.enqueue(req);
+                    }
+                    if op == 7 || i + 1 == ops.len() {
+                        let got = fast.drain();
+                        let want = slow.drain();
+                        prop_assert_eq!(got, want);
+                        sums[0] += want.activations;
+                        sums[1] += want.read_bytes;
+                        sums[2] += want.write_bytes;
+                    }
+                }
+                prop_assert_eq!(
+                    [
+                        fast.lifetime_activations(),
+                        fast.lifetime_read_bytes(),
+                        fast.lifetime_write_bytes(),
+                    ],
+                    sums
+                );
             }
-            assert_eq!(fast.drain(), slow.drain(), "scattered reads ({cfg:?})");
-            // Unaligned bases, ragged sizes, mixed kinds, row wraps.
-            let mut addr = 7u64;
-            for (i, bytes) in [1u64, 15, 17, 31, 32, 33, 1023, 4096, 5, 2048]
-                .into_iter()
-                .enumerate()
-            {
-                let kind = if i % 3 == 0 {
-                    RequestKind::Write
-                } else {
-                    RequestKind::Read
-                };
-                let req = Request { addr, bytes, kind };
-                fast.enqueue(req);
-                slow.enqueue(req);
-                addr += bytes * 3 + 11;
-            }
-            assert_eq!(fast.drain(), slow.drain(), "ragged mix ({cfg:?})");
-            // Row state persists across drains in both models.
-            let again = Request {
-                addr: 7,
-                bytes: 600,
-                kind: RequestKind::Read,
-            };
-            fast.enqueue(again);
-            slow.enqueue(again);
-            assert_eq!(fast.drain(), slow.drain(), "post-drain reuse ({cfg:?})");
         }
     }
 
