@@ -7,14 +7,13 @@
 //! so its contribution to timing is a fixed latency; what matters is the
 //! functional widening and the conversion count for energy.
 
-use serde::{Deserialize, Serialize};
 use spatten_quant::SplitQuantized;
 
 /// Pipeline latency of the converter in cycles.
 const CONVERT_LATENCY: u64 = 2;
 
 /// The DRAM-to-on-chip bitwidth converter.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitwidthConverter {
     conversions: u64,
 }

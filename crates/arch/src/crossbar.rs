@@ -7,10 +7,8 @@
 //! port*: a batch of requests takes as many cycles as the most-subscribed
 //! destination needs.
 
-use serde::{Deserialize, Serialize};
-
 /// A master×slave crossbar timing/routing model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Crossbar {
     masters: usize,
     slaves: usize,

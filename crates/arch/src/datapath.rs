@@ -16,7 +16,6 @@
 //! which a test asserts.
 
 use crate::pipeline::StageTiming;
-use serde::{Deserialize, Serialize};
 
 /// One stage of the event-driven pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +38,7 @@ impl BufferedStage {
 }
 
 /// What an event-driven run produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventStats {
     /// Cycle at which the last item left the last stage.
     pub total_cycles: u64,

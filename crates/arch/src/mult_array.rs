@@ -7,10 +7,8 @@
 //! trees, producing `512/D` scores per cycle. The same array is reused by
 //! the prob·V module with the broadcast/reduce roles adjusted.
 
-use serde::{Deserialize, Serialize};
-
 /// How the adder tree is carved up for a given vector dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdderTreeConfig {
     /// Independent reduction trees (`multipliers / d`).
     pub trees: usize,
@@ -19,7 +17,7 @@ pub struct AdderTreeConfig {
 }
 
 /// The multiplier array + adder tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultArray {
     multipliers: usize,
     total_cycles: u64,

@@ -7,10 +7,8 @@
 //! initiation interval bounds steady-state throughput and every stage's
 //! latency is paid once while the pipeline fills.
 
-use serde::{Deserialize, Serialize};
-
 /// One pipelined stage's timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
     /// Stage name (for breakdown reports).
     pub name: &'static str,

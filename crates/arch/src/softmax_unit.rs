@@ -7,8 +7,6 @@
 //! progressive-quantization threshold to decide whether LSBs must be
 //! fetched.
 
-use serde::{Deserialize, Serialize};
-
 /// Taylor-expansion order for `exp` (as in the paper's reference [16]).
 const EXP_TAYLOR_ORDER: u32 = 5;
 
@@ -30,7 +28,7 @@ pub struct SoftmaxOutput {
 }
 
 /// The softmax functional unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SoftmaxUnit {
     parallelism: usize,
     prob_frac_bits: u32,

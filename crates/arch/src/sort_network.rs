@@ -8,13 +8,11 @@
 //! proving the network really sorts (the 0-1 principle is exercised over
 //! exhaustive boolean inputs for small n).
 
-use serde::{Deserialize, Serialize};
-
 /// A compare-exchange between lanes `(lo, hi)`.
 pub type CompareExchange = (usize, usize);
 
 /// A materialized Batcher odd–even merge network for `n = 2^k` lanes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OddEvenMergeNetwork {
     lanes: usize,
     /// Stages in execution order; each stage's comparators touch disjoint

@@ -5,10 +5,8 @@
 //! tracks accesses for energy accounting and answers capacity questions for
 //! the design-space exploration (Fig. 19b).
 
-use serde::{Deserialize, Serialize};
-
 /// A sized SRAM with access counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sram {
     name: &'static str,
     bytes: u64,

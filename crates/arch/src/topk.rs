@@ -27,7 +27,6 @@
 use crate::zero_eliminator::ZeroEliminator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-pass constant overhead: pivot broadcast + FSM transition.
 const PASS_OVERHEAD_CYCLES: u64 = 2;
@@ -65,7 +64,7 @@ pub struct TopkCost {
 }
 
 /// Configuration + statistics of the top-k engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopkEngine {
     parallelism: usize,
     rng: StdRngState,
@@ -73,12 +72,12 @@ pub struct TopkEngine {
     total_queries: u64,
     /// The live FIFO of the running query, kept across queries so
     /// partition passes reuse its storage.
-    #[serde(skip)]
     live: Vec<f32>,
 }
 
-/// Seeded RNG wrapper so the engine stays deterministic and serializable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Seeded RNG wrapper so the engine stays deterministic: its state is a
+/// seed and a draw count.
+#[derive(Debug, Clone)]
 struct StdRngState {
     seed: u64,
     draws: u64,
@@ -351,7 +350,7 @@ pub fn reference_topk(values: &[f32], k: usize) -> Vec<usize> {
 /// Timing model of a Batcher odd–even merge sorting network processed
 /// `width` compare-exchanges per cycle — the "regular full sorting unit"
 /// SpAtten's engine is compared against in §IV-B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherSorter {
     width: usize,
 }

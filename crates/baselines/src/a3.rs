@@ -15,12 +15,11 @@
 //!    are local to one head: FFN work and other layers see no benefit.
 
 use crate::device::BaselineReport;
-use serde::{Deserialize, Serialize};
 use spatten_workloads::{TaskKind, Workload};
 
 /// A3 at Table III resources: 128 multipliers (parallelism d = 64),
 /// 64 GB/s, 1 GHz, 40 nm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct A3Model {
     /// MACs retired per cycle. The paper states A3's raw throughput as
     /// `2·d = 128 GFLOPS` at 1 GHz (its 128 multipliers serve the two-sided

@@ -16,11 +16,10 @@
 //! Dynamic power values are chosen so the paper's energy-efficiency ratios
 //! (1193× / 4059× / 406× / 1910× vs. SpAtten's 8.3 W) reproduce.
 
-use serde::{Deserialize, Serialize};
 use spatten_workloads::Workload;
 
 /// Latency/energy of a baseline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineReport {
     /// Device name.
     pub device: String,
@@ -33,7 +32,7 @@ pub struct BaselineReport {
 }
 
 /// An analytic device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     /// Device name.
     pub name: String,

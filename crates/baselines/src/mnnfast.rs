@@ -9,11 +9,10 @@
 //! a Zynq-7020 FPGA design, optimistically scaled to 1 W as an ASIC).
 
 use crate::device::BaselineReport;
-use serde::{Deserialize, Serialize};
 use spatten_workloads::Workload;
 
 /// MNNFast at Table III resources.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MnnFastModel {
     /// MACs retired per cycle. MNNFast is a Zynq-7020 FPGA design projected
     /// to 1 GHz; the paper's reproduced simulator lands at 120 GOP/s

@@ -1,9 +1,11 @@
 //! Shared helpers for the per-table/figure harness binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section and prints the same rows/series the paper
-//! reports, alongside the paper's own numbers where available so the
-//! reader can compare shapes directly. See DESIGN.md §3 for the index.
+//! Every `fig*`, `table*` and `headline` binary in `src/bin/` regenerates
+//! one table or figure of the paper's evaluation section and prints the
+//! same rows/series the paper reports, alongside the paper's own numbers
+//! where available so the reader can compare shapes directly; their
+//! stdout is snapshotted under `snapshots/`. The `gates` binary is the
+//! serving layer's regression gate table (see its module doc).
 
 use spatten_core::{Accelerator, RunReport, SpAttenConfig};
 use spatten_workloads::Benchmark;

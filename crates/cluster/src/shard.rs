@@ -25,7 +25,6 @@
 //! shards, they reproduce the unsharded cost to within HBM scatter noise
 //! (a property test enforces this).
 
-use serde::{Deserialize, Serialize};
 use spatten_core::{
     decode_step_cost_heads, decode_step_cost_layers, prefill_cost_heads, prefill_cost_layers,
     shard_heads, surviving_tokens, SpAttenConfig, SpAttenE2e, StepCost,
@@ -33,7 +32,7 @@ use spatten_core::{
 use spatten_workloads::Workload;
 
 /// How a model splits across the chips of one group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardStrategy {
     /// Attention heads and FC columns split `ways`-way; all layers on
     /// every shard.

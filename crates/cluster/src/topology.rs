@@ -19,11 +19,10 @@
 //!   (reduce-scatter + all-gather: `2·(n−1)` steps of `bytes/n` chunks)
 //!   with a two-phase all-to-all variant on fully-connected fleets.
 
-use serde::{Deserialize, Serialize};
 pub use spatten_workloads::fleet::{LinkSpec, TopologySpec};
 
 /// Inter-chip wiring shape plus size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Wiring shape.
     pub shape: TopologySpec,

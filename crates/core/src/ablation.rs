@@ -8,12 +8,11 @@
 
 use crate::accelerator::{Accelerator, SpAttenConfig};
 use crate::perf::RunReport;
-use serde::{Deserialize, Serialize};
 use spatten_quant::BitwidthScheme;
 use spatten_workloads::{QuantPolicy, Workload};
 
 /// One rung: a configuration plus a quantization override.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rung {
     /// Human-readable name.
     pub name: &'static str,

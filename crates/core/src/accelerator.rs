@@ -1,7 +1,6 @@
 //! The accelerator façade: configuration (Table I) and entry points.
 
 use crate::perf::{simulate, RunReport};
-use serde::{Deserialize, Serialize};
 use spatten_hbm::HbmConfig;
 use spatten_workloads::Workload;
 
@@ -11,7 +10,7 @@ use spatten_workloads::Workload;
 /// a 16-comparator top-k engine, softmax parallelism 8, 196 KB K/V SRAMs,
 /// 16-channel HBM2 at 512 GB/s, 1 GHz core clock. The pruning switches
 /// exist for the Fig. 20 ablation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpAttenConfig {
     /// Multipliers in *each* of the Q·K and prob·V arrays.
     pub multipliers_per_array: usize,

@@ -10,11 +10,10 @@
 
 use crate::accelerator::{Accelerator, SpAttenConfig};
 use crate::perf::{RunReport, StepCost};
-use serde::{Deserialize, Serialize};
 use spatten_workloads::Workload;
 
 /// End-to-end run results: attention + FC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2eReport {
     /// The attention-only report.
     pub attention: RunReport,

@@ -5,11 +5,10 @@
 //! models — across generation iterations. Head importance: the absolute
 //! magnitude of each head's output chunk, accumulated across layers.
 
-use serde::{Deserialize, Serialize};
 use spatten_nn::LayerRecord;
 
 /// The accumulators for one inference (summarization + generation).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImportanceAccumulator {
     token_scores: Vec<f64>,
     head_scores: Vec<f64>,

@@ -7,12 +7,11 @@
 //! [`CascadePruner`] and packages the trace for display.
 
 use crate::pruner::CascadePruner;
-use serde::{Deserialize, Serialize};
 use spatten_nn::Model;
 use spatten_workloads::PruningSpec;
 
 /// What happened to one token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenFate {
     /// Original position in the sentence.
     pub position: usize,
@@ -25,7 +24,7 @@ pub struct TokenFate {
 }
 
 /// A full pruning trace of one sentence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PruningTrace {
     /// Per-token fates, in sentence order.
     pub tokens: Vec<TokenFate>,

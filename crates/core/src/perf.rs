@@ -22,7 +22,6 @@ use crate::accelerator::SpAttenConfig;
 use crate::progressive::ProgressiveController;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use spatten_arch::{MultArray, Sram, TopkEngine};
 use spatten_energy::{EnergyBreakdown, EnergyModel, EventCounts, PowerReport};
 use spatten_hbm::{Hbm, Request, RequestKind};
@@ -42,7 +41,7 @@ const FLAT_QUERY_FRACTION: f64 = 0.059;
 /// totals, and it needs the compute/memory split separately so it can model
 /// HBM-bandwidth-aware co-scheduling (one job's multiplier-array work
 /// overlapping another job's KV streaming).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepCost {
     /// Busy cycles of the bottleneck compute module, summed over layers.
     pub compute_cycles: u64,
@@ -71,7 +70,7 @@ impl StepCost {
 }
 
 /// Busy-cycle totals per module (for bottleneck and breakdown reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleCycles {
     /// Q·K multiplier array.
     pub qk: u64,
@@ -86,7 +85,7 @@ pub struct ModuleCycles {
 }
 
 /// Everything one run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Workload name.
     pub workload: String,

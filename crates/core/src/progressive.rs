@@ -6,11 +6,10 @@
 //! are fetched and the attention probabilities recomputed — once. The
 //! controller tracks how often that happens (paper: ≈ 5.9 % of inputs).
 
-use serde::{Deserialize, Serialize};
 use spatten_workloads::QuantPolicy;
 
 /// Per-query decision statistics for progressive quantization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgressiveStats {
     /// Queries evaluated.
     pub queries: u64,
@@ -30,7 +29,7 @@ impl ProgressiveStats {
 }
 
 /// The controller: policy + statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressiveController {
     policy: QuantPolicy,
     stats: ProgressiveStats,

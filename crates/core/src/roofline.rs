@@ -7,10 +7,9 @@
 
 use crate::accelerator::SpAttenConfig;
 use crate::perf::RunReport;
-use serde::{Deserialize, Serialize};
 
 /// One point on the roofline plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Workload name.
     pub name: String,

@@ -6,10 +6,8 @@
 //! SRAM size, top-k parallelism) so the design-space exploration and the
 //! SpAtten-1/8 comparison (Table III) can report area efficiency.
 
-use serde::{Deserialize, Serialize};
-
 /// Module-level silicon areas in mm².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Q·K multiplier array + adder tree + Key SRAM.
     pub qk_mm2: f64,
@@ -92,7 +90,7 @@ impl AreaModel {
 }
 
 /// A printable area breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaReport {
     /// `(module, mm², percent)` rows.
     pub rows: Vec<(String, f64, f64)>,

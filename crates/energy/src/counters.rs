@@ -1,11 +1,10 @@
 //! Event counters produced by the simulator and consumed by the energy
 //! model.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Raw event counts of one simulation window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Fixed-point multiply-accumulates in the Q·K array.
     pub qk_macs: u64,

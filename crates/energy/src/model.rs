@@ -1,7 +1,6 @@
 //! Per-event energy constants and the energy/power computation.
 
 use crate::counters::EventCounts;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energy constants (picojoules), 40 nm class.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// * Comparator ≈ 0.05 pJ — 12-bit compare.
 /// * Crossbar ≈ 1.2 pJ/request — 32×16 switch traversal.
 /// * Static leakage 0.30 W — small for a 18.7 mm² 40 nm die.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Fixed-point MAC energy (pJ).
     pub mac_pj: f64,
@@ -66,7 +65,7 @@ impl Default for EnergyParams {
 }
 
 /// Energy of one window, split the way Table II reports power.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Computation logic (MACs, FMAs, divides, comparators, crossbars), pJ.
     pub compute_pj: f64,
@@ -89,7 +88,7 @@ impl EnergyBreakdown {
 }
 
 /// Power at a given runtime, Table II shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReport {
     /// Computation-logic power (W).
     pub compute_w: f64,
@@ -109,7 +108,7 @@ impl PowerReport {
 }
 
 /// Converts event counts into energy and power.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyModel {
     params: EnergyParams,
 }

@@ -4,8 +4,6 @@
 //! fetcher can keep every channel busy (§IV-D). The interleaving
 //! granularity is one 32-byte access (two 16-byte pseudo-channel beats).
 
-use serde::{Deserialize, Serialize};
-
 /// Quotient with a power-of-two fast path. Channel counts, interleave
 /// granularities and row sizes are powers of two in every real HBM part,
 /// and the hot loops here divide by them per 32-byte chunk — a shift is
@@ -31,7 +29,7 @@ pub(crate) fn fast_mod(x: u64, d: u64) -> u64 {
 }
 
 /// A decoded physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAddress {
     /// HBM channel index.
     pub channel: usize,
@@ -42,7 +40,7 @@ pub struct DecodedAddress {
 }
 
 /// Address → (channel, row, column) mapping with channel interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
     channels: usize,
     interleave_bytes: u64,

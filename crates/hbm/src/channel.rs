@@ -1,9 +1,7 @@
 //! A single HBM channel with an open-page row buffer.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an access hit the open row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowBufferOutcome {
     /// The addressed row was already open.
     Hit,
@@ -12,7 +10,7 @@ pub enum RowBufferOutcome {
 }
 
 /// One channel's state and counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel {
     open_row: Option<u64>,
     busy_cycles: u64,

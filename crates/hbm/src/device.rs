@@ -2,10 +2,9 @@
 
 use crate::address::AddressMap;
 use crate::channel::Channel;
-use serde::{Deserialize, Serialize};
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
     /// DRAM → chip.
     Read,
@@ -14,7 +13,7 @@ pub enum RequestKind {
 }
 
 /// One memory request (a contiguous byte range).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Start byte address.
     pub addr: u64,
@@ -25,7 +24,7 @@ pub struct Request {
 }
 
 /// HBM stack configuration (Table I defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbmConfig {
     /// Number of channels.
     pub channels: usize,
@@ -64,7 +63,7 @@ impl Default for HbmConfig {
 }
 
 /// Result of draining one batch of requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainStats {
     /// Cycles until the slowest channel finished (the batch's latency when
     /// perfectly overlapped with compute).
@@ -80,7 +79,7 @@ pub struct DrainStats {
 }
 
 /// The HBM stack: per-channel queues + lifetime counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
     map: AddressMap,
@@ -103,7 +102,7 @@ pub struct Hbm {
 /// is a multiple of the channel width, so the per-chunk merge rule
 /// would fold all of a channel's blocks into one queue entry: the counts
 /// are all [`StripeBlocks::flush`] needs to reproduce the queues exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct StripeBlocks {
     /// Interleave blocks per row stripe.
     per_stripe: u64,

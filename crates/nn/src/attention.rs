@@ -3,7 +3,6 @@
 
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// What one multi-head attention invocation produced, before the output FC.
 #[derive(Debug, Clone)]
@@ -18,7 +17,7 @@ pub struct AttentionRecord {
 
 /// Cached keys/values of one layer during generation, with the original
 /// token id of every cached row so cascade pruning can evict rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     k: Matrix,
     v: Matrix,
@@ -95,7 +94,7 @@ impl KvCache {
 }
 
 /// Multi-head attention weights for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiHeadAttention {
     wq: Matrix,
     wk: Matrix,

@@ -12,10 +12,9 @@ use crate::attention::KvCache;
 use crate::model::Model;
 use crate::observer::{ActiveSet, AttentionObserver, LayerRecord};
 use crate::ops::argmax;
-use serde::{Deserialize, Serialize};
 
 /// One decoding hypothesis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Beam {
     /// Generated token ids (excluding the prompt).
     pub tokens: Vec<usize>,
@@ -24,7 +23,7 @@ pub struct Beam {
 }
 
 /// Result of a beam-search run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeamSearchOutput {
     /// Hypotheses, best first.
     pub beams: Vec<Beam>,

@@ -4,12 +4,11 @@ use crate::attention::{AttentionRecord, KvCache, MultiHeadAttention};
 use crate::matrix::Matrix;
 use crate::ops::{gelu_matrix, layer_norm};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 const LN_EPS: f32 = 1e-5;
 
 /// One transformer block (post-norm, as in the original BERT/Transformer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerBlock {
     attn: MultiHeadAttention,
     ln1_gamma: Vec<f32>,

@@ -6,11 +6,10 @@
 //! FLOP accounting used by the accelerator model, the baselines and the
 //! roofline analysis (Fig. 18, Table IV).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Discriminative (BERT-like) vs. generative (GPT-2-like) model family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Summarization stage only; bidirectional attention.
     Bert,
@@ -19,7 +18,7 @@ pub enum ModelKind {
 }
 
 /// Which stage of Figure 3 a workload models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// All input tokens processed in a batch (`Q`, `K`, `V` all `L×D`).
     Summarization,
@@ -37,7 +36,7 @@ impl fmt::Display for Stage {
 }
 
 /// Transformer shape description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Model family (attention masking + stages).
     pub kind: ModelKind,

@@ -14,7 +14,6 @@ use crate::observer::{ActiveSet, AttentionObserver, LayerRecord};
 use crate::ops::argmax;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Output of a summarization pass.
 #[derive(Debug, Clone)]
@@ -43,7 +42,7 @@ pub struct GenerationOutput {
 }
 
 /// A complete transformer model with seeded weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Model {
     config: ModelConfig,
     max_len: usize,

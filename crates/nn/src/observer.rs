@@ -9,14 +9,13 @@
 //! never reappears ("cascade").
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The surviving token and head sets, shared across layers of one forward
 /// pass.
 ///
 /// Token indices refer to *original* sequence positions; the model compacts
 /// its working set internally but always reports original ids.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveSet {
     token_active: Vec<bool>,
     head_active: Vec<bool>,

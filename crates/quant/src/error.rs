@@ -8,7 +8,6 @@
 
 use crate::linear::LinearQuantizer;
 use crate::softmax;
-use serde::{Deserialize, Serialize};
 
 /// Mean absolute elementwise difference between two equal-length slices.
 ///
@@ -36,7 +35,7 @@ pub fn max_abs_error(a: &[f32], b: &[f32]) -> f32 {
 
 /// One observation for the Fig. 7 scatter: a row's dominance vs. its
 /// quantization-induced probability error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftmaxErrorSample {
     /// Maximum probability of the float32 reference distribution.
     pub max_prob: f32,

@@ -6,7 +6,6 @@
 //! associated number of fractional bits, wide enough (i64) to hold adder-tree
 //! partial sums without overflow.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A signed fixed-point number: `value = raw · 2^(−frac_bits)`.
@@ -26,7 +25,7 @@ use std::fmt;
 /// let c = a.mul(b); // product has 16 fractional bits
 /// assert!((c.to_f32() - 3.0).abs() < 1e-2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fixed {
     raw: i64,
     frac_bits: u32,

@@ -8,10 +8,8 @@
 //! (benchmarked in `spatten-bench`), while linear symmetric needs one max
 //! and a multiply.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted 1-D k-means codebook.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansQuantizer {
     /// Sorted centroids.
     centroids: Vec<f32>,

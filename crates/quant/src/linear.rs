@@ -7,7 +7,6 @@
 //! zero-point is needed.
 
 use crate::fixed::saturate_level;
-use serde::{Deserialize, Serialize};
 
 /// A per-tensor linear symmetric quantizer.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 ///     assert!((a - b).abs() < 0.01);
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearQuantizer {
     scale: f32,
     bits: u32,
@@ -93,7 +92,7 @@ impl LinearQuantizer {
 }
 
 /// A tensor stored as integer levels plus its quantizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTensor {
     levels: Vec<i64>,
     quantizer: LinearQuantizer,

@@ -10,11 +10,10 @@
 //! fetched is decided per input on the fly.
 
 use crate::linear::LinearQuantizer;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the paper's MSB+LSB bitwidth settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitwidthScheme {
     /// 4 MSBs + 4 LSBs (8-bit full precision).
     Msb4Lsb4,
@@ -67,7 +66,7 @@ impl fmt::Display for BitwidthScheme {
 }
 
 /// How much DRAM traffic a fetch of `n` elements costs under a scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchPlan {
     /// Bits moved when fetching the MSB plane of the tensor.
     pub msb_plane_bits: u64,
@@ -107,7 +106,7 @@ impl FetchPlan {
 ///     assert!((x - f).abs() <= (x - c).abs() + 1e-6);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitQuantized {
     /// Full-precision integer levels (MSB∥LSB concatenated).
     levels: Vec<i64>,

@@ -36,7 +36,6 @@
 //! [`FleetCost::swap_cycles_on`]: crate::cost::FleetCost::swap_cycles_on
 //! [`FleetCost::weight_load_cycles_on`]: crate::cost::FleetCost::weight_load_cycles_on
 
-use serde::{Deserialize, Serialize};
 use spatten_core::SpAttenConfig;
 use spatten_nn::ModelConfig;
 use spatten_workloads::fleet::{ChipClass, ElasticitySpec, LeaveKind};
@@ -316,9 +315,9 @@ impl ElasticSchedule {
     }
 }
 
-/// Threshold-hysteresis autoscaler configuration (serializable; feeds
+/// Threshold-hysteresis autoscaler configuration (plain data; feeds
 /// [`ThresholdHysteresis`], the default [`AutoscalePolicy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleSpec {
     /// Observation window, nanoseconds: the policy sees fleet load and
     /// may emit one action per window.
@@ -459,7 +458,7 @@ impl AutoscalePolicy for ThresholdHysteresis {
 
 /// Per-chip elasticity counters, folded into
 /// [`ChipStats`](crate::metrics::ChipStats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ElasticChipStats {
     /// Cycles the chip spent online (in service or draining). A fixed
     /// fleet accrues the whole makespan on every chip; summed over the

@@ -1,6 +1,6 @@
 //! A minimal hand-rolled JSON writer and parser.
 //!
-//! The workspace's `serde` is an offline stub (no data-format machinery),
+//! The workspace has no serialization dependency (it builds offline),
 //! so the serving report serializes itself through this small builder. It
 //! supports exactly what `FleetReport` needs: objects, arrays, strings with
 //! escaping, integers, and finite floats. The matching [`parse`] half

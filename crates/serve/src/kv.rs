@@ -67,7 +67,7 @@ use std::collections::HashMap;
 /// How a chip's KV SRAM budget is carved up — the `SchedKnobs` knob
 /// selecting the layout of every chip's [`ChipKv`]: one contiguous
 /// reservation per job (the default), or the paged allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KvSpec {
     /// One contiguous reservation per job (the historical model).
     #[default]
@@ -210,7 +210,7 @@ struct JobPages {
 }
 
 /// Cumulative page-accounting counters, reported per chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvStats {
     /// Blocks handed out (job unique + prefix fills).
     pub blocks_allocated: u64,

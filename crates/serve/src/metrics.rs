@@ -5,10 +5,9 @@ use crate::elastic::ElasticChipStats;
 use crate::json::{array, JsonObject};
 use crate::kv::KvStats;
 use crate::request::{Completion, Rejection};
-use serde::{Deserialize, Serialize};
 
 /// Latency distribution summary in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentiles {
     /// Median.
     pub p50: f64,
@@ -64,7 +63,7 @@ impl Percentiles {
 }
 
 /// Per-chip accounting carried into the report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipStats {
     /// Chip index.
     pub id: usize,
@@ -107,7 +106,7 @@ pub struct ChipStats {
 /// Per-request-class accounting: latency, decode cadence, and the SLO
 /// ledger (goodput = deadline-meeting completions per second; rejections
 /// are requests SLO-aware admission shed before they touched a chip).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassStats {
     /// Index into the trace spec's class list.
     pub class: usize,
@@ -151,7 +150,7 @@ impl ClassStats {
 }
 
 /// Everything one fleet simulation produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Scheduling policy name.
     pub policy: String,

@@ -3,12 +3,11 @@
 //! record the metrics layer aggregates, and the rejection record
 //! SLO-aware admission produces.
 
-use serde::{Deserialize, Serialize};
 use spatten_workloads::Workload;
 
 /// A request inside the simulator: trace identity plus arrival timestamp in
 /// fleet (core-clock) cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Stable trace id.
     pub id: u64,
@@ -53,7 +52,7 @@ pub struct Job {
 /// KV prefix lives in HBM (drained at eviction, restored at re-admission
 /// — both charged through `FleetCost::swap_cycles_on`), and the chip
 /// event loop resumes the job exactly where it stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeState {
     /// The chip holding this job's KV state. A resumed job is **pinned**
     /// to this chip: routing and work-stealing must never migrate it,
@@ -93,7 +92,7 @@ impl ResumeState {
 }
 
 /// The record of one finished request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// Stable trace id.
     pub id: u64,
@@ -176,7 +175,7 @@ impl Completion {
 /// The record of a request dropped by SLO-aware admission before it ever
 /// touched a chip: the scheduler predicted the deadline was unmeetable and
 /// shed the job instead of burning cycles on a guaranteed violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rejection {
     /// Stable trace id.
     pub id: u64,

@@ -72,7 +72,6 @@ use crate::route::{
     ChipLoad, ChurnAwareRouting, FastestChipRouting, HashAffinityRouting, LeastKvLoadedRouting,
     RoutingPolicy, SharedQueueRouting,
 };
-use serde::{Deserialize, Serialize};
 use spatten_workloads::PoolRole;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -93,7 +92,7 @@ use std::fmt;
 /// }
 /// assert_eq!(Policy::DecodePrioritized.name(), "decode-prioritized");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// First-in first-out, run-to-completion.
     Fifo,
@@ -179,7 +178,7 @@ impl Policy {
 
 /// The canonical routing policies, as a serializable knob — any
 /// [`Policy`] composes with any of them (see [`SchedKnobs::route`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouteSpec {
     /// No routing: one shared queue any chip may drain (the default, and
     /// the work-conserving choice for homogeneous fleets).
@@ -254,7 +253,7 @@ impl RouteSpec {
 /// respecting the thief's KV budget, the queue's priority order, and
 /// the pin on preempted-resumed jobs (their swapped KV prefix lives in
 /// their own chip's HBM — they are never stolen).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StealSpec {
     /// No stealing: routed jobs run where the router put them (the
     /// default, and the PR 4 behavior bit-for-bit).
@@ -281,7 +280,7 @@ impl StealSpec {
 /// Note that run-to-completion policies ([`Policy::Fifo`] /
 /// [`Policy::Sjf`]) never trigger eviction: their single resident
 /// always leaves free batch slots, so no queued job ever looks blocked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PreemptSpec {
     /// No eviction: admitted jobs keep their slot to completion.
     #[default]
@@ -329,7 +328,7 @@ impl PreemptSpec {
 /// resulting [`FleetReport`](crate::FleetReport) is **bit-for-bit
 /// identical** to [`SimMode::Serial`] — by construction, since the memo
 /// is semantically transparent — and independent of `threads`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
     /// Everything on the calling thread (the default).
     #[default]
@@ -372,7 +371,7 @@ impl SimMode {
 /// assert_eq!(knobs.route.build().name(), "fastest-chip");
 /// assert_eq!(knobs.preempt.build(&knobs).name(), "priority");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedKnobs {
     /// Chunked-prefill quantum: the most serial prefill work one job may
     /// contribute per iteration (≈ one GPT-2-Small end-to-end decode step

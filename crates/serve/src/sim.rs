@@ -772,7 +772,7 @@ mod tests {
         // Shared prefix pages are charged once: with the batch-slot cap
         // lifted out of the way, KV capacity binds admission, and at
         // equal budget the paged fleet packs strictly more residents
-        // than contiguous reservation (the sched_bench grid enforces
+        // than contiguous reservation (the `gates` sched suite enforces
         // the end-to-end latency/goodput win; this guards capacity).
         let trace = chat_trace(300, 6000.0, 101);
         let mut cfg = FleetConfig::new(1, Policy::ContinuousBatching);

@@ -4,14 +4,12 @@
 //! same way [`TraceSpec`](crate::trace::TraceSpec) describes the traffic
 //! side: which chips exist (full Table-I parts next to 1/8-scale ones) and
 //! how they are wired. It is deliberately descriptive — plain chip classes
-//! rather than `SpAttenConfig` values — so traces stay self-contained and
-//! serializable without depending on the accelerator model; the cluster
+//! rather than `SpAttenConfig` values — so traces stay self-contained,
+//! without depending on the accelerator model; the cluster
 //! layer (`spatten-cluster`) resolves classes to concrete configurations.
 
-use serde::{Deserialize, Serialize};
-
 /// A chip class in a (possibly heterogeneous) fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChipClass {
     /// The full Table-I configuration.
     Full,
@@ -26,7 +24,7 @@ pub enum ChipClass {
 /// (receives migrated KV and runs generation). `Flex` chips opt out:
 /// they serve jobs end-to-end exactly as every chip did before pools
 /// existed, so an all-`Flex` fleet is the co-located baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PoolRole {
     /// Prefill specialist: arrivals target this pool; generative jobs
     /// migrate off it once their last prefill chunk retires.
@@ -51,7 +49,7 @@ impl PoolRole {
 }
 
 /// Inter-chip wiring shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologySpec {
     /// A bidirectional ring; messages take the shorter arc.
     Ring,
@@ -61,7 +59,7 @@ pub enum TopologySpec {
 
 /// One link's timing: per-hop latency plus serialization bandwidth, in
 /// core-clock terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Cycles a message spends per hop before its first byte arrives.
     pub latency_cycles: u64,
@@ -82,7 +80,7 @@ impl Default for LinkSpec {
 }
 
 /// How a scheduled chip departure takes the chip out of service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaveKind {
     /// Maintenance drain: the chip stops accepting new work and serves
     /// its residents to completion before going offline.
@@ -96,7 +94,7 @@ pub enum LeaveKind {
 }
 
 /// One scheduled departure in an elasticity scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeaveSpec {
     /// Index of the departing chip in the fleet inventory.
     pub chip: usize,
@@ -107,7 +105,7 @@ pub struct LeaveSpec {
 }
 
 /// One scheduled cold join in an elasticity scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinSpec {
     /// Class of the joining chip (appended after the base inventory).
     pub chip_class: ChipClass,
@@ -120,7 +118,7 @@ pub struct JoinSpec {
 /// an autoscaler-managed reserve. Descriptive, like the rest of the
 /// fleet spec — the serving layer resolves classes to configurations and
 /// prices the weight-load delays.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ElasticitySpec {
     /// Scheduled departures of inventory chips.
     pub leaves: Vec<LeaveSpec>,
@@ -135,7 +133,7 @@ pub struct ElasticitySpec {
 }
 
 /// The hardware side of a cluster serving scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Chip inventory, by class.
     pub chips: Vec<ChipClass>,
@@ -146,11 +144,9 @@ pub struct FleetSpec {
     /// Per-chip pool roles, parallel to `chips`. `None` (the default for
     /// every pre-disaggregation trace) means all-`Flex` — co-located
     /// serving with no migration.
-    #[serde(default)]
     pub roles: Option<Vec<PoolRole>>,
     /// Elasticity scenario riding along with the fleet. `None` (the
     /// default for every pre-elasticity trace) means a fixed fleet.
-    #[serde(default)]
     pub elastic: Option<ElasticitySpec>,
 }
 

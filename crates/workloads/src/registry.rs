@@ -8,12 +8,11 @@
 //! GPT-2 progressive 6+4 / 8+4 with threshold 0.1 (§III-D, §V-A).
 
 use crate::spec::{PruningSpec, QuantPolicy, Workload};
-use serde::{Deserialize, Serialize};
 use spatten_nn::ModelConfig;
 use spatten_quant::BitwidthScheme;
 
 /// Discriminative (BERT) vs. generative (GPT-2) benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// Single summarization pass over the whole input.
     Discriminative,
@@ -22,7 +21,7 @@ pub enum TaskKind {
 }
 
 /// One of the paper's 30 benchmarks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Benchmark {
     /// Identifier, e.g. `bert-base-sst-2`.
     pub id: String,

@@ -6,13 +6,12 @@
 //! with `r_start + r_end = 2·r_avg`) and a [`QuantPolicy`] into MSB/LSB
 //! fetch decisions.
 
-use serde::{Deserialize, Serialize};
 use spatten_nn::ModelConfig;
 
 pub use spatten_quant::BitwidthScheme;
 
 /// Cascade-pruning parameters for one task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruningSpec {
     /// Average fraction of tokens *kept* across pruned layers
     /// (`1 / token pruning ratio`).
@@ -83,7 +82,7 @@ fn keep_at(layer: usize, layers: usize, avg: f64, front_frac: f64) -> f64 {
 }
 
 /// Quantization policy for one task (§III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantPolicy {
     /// The MSB+LSB storage scheme.
     pub scheme: BitwidthScheme,
@@ -120,7 +119,7 @@ impl QuantPolicy {
 }
 
 /// Everything the accelerator needs to run one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Benchmark id (for reports).
     pub name: String,

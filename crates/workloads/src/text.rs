@@ -7,7 +7,6 @@
 //! *content* words; the examples show that token pruning driven by
 //! accumulated attention keeps content words and drops fillers.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Filler words a well-trained model should learn to ignore.
@@ -19,7 +18,7 @@ const FILLERS: &[&str] = &[
 ];
 
 /// A small word-level vocabulary built from example sentences.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Vocabulary {
     word_to_id: HashMap<String, usize>,
     id_to_word: Vec<String>,
@@ -73,7 +72,7 @@ impl Vocabulary {
 }
 
 /// An example sentence with its task framing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExampleSentence {
     /// Task description (matches the paper's Fig. 22 rows).
     pub task: &'static str,

@@ -26,7 +26,7 @@
 //!
 //! A spec may also carry the *hardware side* of the scenario — a
 //! [`FleetSpec`] naming chip classes and interconnect topology — so one
-//! serialized object describes a whole cluster experiment.
+//! spec describes a whole cluster experiment.
 //!
 //! Generation is fully deterministic for a fixed [`TraceSpec`] (seeded
 //! inter-arrival draws, state dwells, class picks and length draws), so
@@ -37,12 +37,11 @@ use crate::registry::Benchmark;
 use crate::spec::{PruningSpec, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One class of serving request: a workload template plus per-request
 /// length ranges. Each generated request clones the template and draws its
 /// own `seq_len` (and, for generative templates, `gen_steps`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestClass {
     /// Template carrying model shape, pruning spec and quantization policy.
     pub template: Workload,
@@ -162,7 +161,7 @@ impl RequestClass {
 }
 
 /// The arrival discipline of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
     /// Open-loop Poisson arrivals at `rate_rps` requests/second for
     /// `requests` total requests.
@@ -222,7 +221,7 @@ pub enum ArrivalSpec {
 }
 
 /// Everything needed to generate a [`Trace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Weighted request-class mix (must be non-empty).
     pub classes: Vec<RequestClass>,
@@ -654,7 +653,7 @@ impl TraceSpec {
 }
 
 /// One request in a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRequest {
     /// Stable id (generation order).
     pub id: u64,
@@ -678,7 +677,7 @@ pub struct TraceRequest {
 }
 
 /// A generated request stream, ready for `spatten-serve`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Trace {
     /// Open loop: requests with pre-drawn absolute arrival times,
     /// non-decreasing in `arrival_ns`.

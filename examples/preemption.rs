@@ -20,8 +20,8 @@
 //!
 //! (Admission-time *routing* — `RouteSpec::FastestChip` — is the
 //! complementary tool for the loaded-but-not-saturated regime, where
-//! placement rather than contention decides the tail; `sched_bench`
-//! sweeps both bands.)
+//! placement rather than contention decides the tail; the `gates` bin's
+//! sched suite sweeps both bands.)
 //!
 //! Run with: `cargo run --release --example preemption`
 
