@@ -210,11 +210,7 @@ impl<'a> Sim<'a> {
     }
 
     fn tokens_kept(&self, layer: usize, current_len: usize) -> usize {
-        if !self.cfg.token_pruning {
-            return current_len;
-        }
-        let keep = self.w.pruning.token_keep_at(layer, self.w.model.layers);
-        ((current_len as f64) * keep).round().max(2.0) as usize
+        surviving_tokens(self.cfg, self.w, layer, current_len)
     }
 
     fn heads_kept(&self, layer: usize) -> usize {
@@ -704,7 +700,11 @@ pub fn decode_step_cost_layers(
 /// `w.model.layers - 1` is the deepest (smallest) survivor set — the KV
 /// working set a serving scheduler packs into SRAM.
 pub fn surviving_tokens(cfg: &SpAttenConfig, w: &Workload, layer: usize, len: usize) -> usize {
-    Sim::new(cfg, w).tokens_kept(layer, len)
+    if !cfg.token_pruning {
+        return len;
+    }
+    let keep = w.pruning.token_keep_at(layer, w.model.layers);
+    ((len as f64) * keep).round().max(2.0) as usize
 }
 
 #[cfg(test)]

@@ -71,6 +71,11 @@ struct Active {
     /// so the estimate reaches 0 at completion ([`Chip::est_drift`]
     /// records any violation).
     est_remaining: u64,
+    /// The last prefill chunk's `(priced pass, chunk cycles, slice)`.
+    /// Every chunk but a job's last has the same length and the same
+    /// priced pass, so the proportional slice is recomputed only when
+    /// either changes (a batch-aware oracle may reprice the pass).
+    chunk_slice: Option<(StepCost, u64, StepCost)>,
 }
 
 /// One accelerator's event-loop state.
@@ -315,6 +320,7 @@ impl Chip {
                     steps_done: r.steps_done,
                     est_remaining: est_remaining
                         .saturating_sub(prefill_progress - r.prefill_progress),
+                    chunk_slice: None,
                     job,
                 }
             }
@@ -327,6 +333,7 @@ impl Chip {
                 prefilled: false,
                 steps_done: 0,
                 est_remaining: est_remaining.saturating_sub(prefix_skip),
+                chunk_slice: None,
             },
         };
         self.active.push(active);
@@ -632,13 +639,13 @@ impl Chip {
                         a.prefilled = true;
                     }
                     spent = chunk;
-                    // The chunk is a proportional slice of the whole pass.
-                    let frac = chunk as f64 / total.serial_cycles.max(1) as f64;
-                    StepCost {
-                        compute_cycles: (total.compute_cycles as f64 * frac) as u64,
-                        dram_cycles: (total.dram_cycles as f64 * frac) as u64,
-                        weight_dram_cycles: (total.weight_dram_cycles as f64 * frac) as u64,
-                        serial_cycles: (total.serial_cycles as f64 * frac) as u64,
+                    match a.chunk_slice {
+                        Some((pass, c, slice)) if pass == total && c == chunk => slice,
+                        _ => {
+                            let slice = prefill_slice(total, chunk);
+                            a.chunk_slice = Some((total, chunk, slice));
+                            slice
+                        }
                     }
                 }
                 RoundStep::Decode { steps } => {
@@ -768,6 +775,18 @@ impl Chip {
     }
 }
 
+/// A `chunk`-cycle prefill chunk as a proportional slice of the whole
+/// priced pass `total`.
+fn prefill_slice(total: StepCost, chunk: u64) -> StepCost {
+    let frac = chunk as f64 / total.serial_cycles.max(1) as f64;
+    StepCost {
+        compute_cycles: (total.compute_cycles as f64 * frac) as u64,
+        dram_cycles: (total.dram_cycles as f64 * frac) as u64,
+        weight_dram_cycles: (total.weight_dram_cycles as f64 * frac) as u64,
+        serial_cycles: (total.serial_cycles as f64 * frac) as u64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,6 +812,7 @@ mod tests {
             shared_prefix_tokens: 0,
             revoked: false,
             workload,
+            kv_need: Default::default(),
         }
     }
 
@@ -1164,5 +1184,75 @@ mod tests {
             remaining_rounds,
             total.saturating_sub(20_000).div_ceil(10_000)
         );
+    }
+
+    /// A batch-aware stand-in: the prefill pass's compute is scaled by
+    /// `compute_scale` (its serial cycles are not, so the in-service
+    /// estimate stays exact); everything else is the model's price.
+    struct Repricing {
+        inner: CostModel,
+        compute_scale: u64,
+    }
+
+    impl FleetCost for Repricing {
+        fn prefill_on(&mut self, chip: usize, w: &spatten_workloads::Workload) -> StepCost {
+            let mut pass = self.inner.prefill_on(chip, w);
+            pass.compute_cycles *= self.compute_scale;
+            pass
+        }
+        fn decode_on(
+            &mut self,
+            chip: usize,
+            w: &spatten_workloads::Workload,
+            context: usize,
+        ) -> StepCost {
+            self.inner.decode_on(chip, w, context)
+        }
+        fn footprint_on(&mut self, chip: usize, w: &spatten_workloads::Workload) -> u64 {
+            self.inner.footprint_on(chip, w)
+        }
+        fn budget_on(&self, chip: usize) -> u64 {
+            self.inner.budget_on(chip)
+        }
+        fn swap_cycles_on(
+            &mut self,
+            chip: usize,
+            w: &spatten_workloads::Workload,
+            tokens: usize,
+        ) -> u64 {
+            self.inner.swap_cycles_on(chip, w, tokens)
+        }
+    }
+
+    #[test]
+    fn a_repriced_pass_recomputes_its_chunk_slice() {
+        let mut cost = Repricing {
+            inner: CostModel::end_to_end(SpAttenConfig::default(), 8),
+            compute_scale: 1,
+        };
+        let w = job(0, 512, 0).workload;
+        let pass = cost.prefill_on(0, &w);
+        let chunk = pass.serial_cycles / 5;
+        let mut batch = IterationBatch {
+            prefill_chunk_cycles: chunk,
+        };
+        let mut chip = Chip::new(0, ChipKv::new(KvSpec::Contiguous, cost.budget_on(0)));
+        chip.admit(&mut cost, job(0, 512, 0), 0);
+        let mut round = |chip: &mut Chip, cost: &mut Repricing| {
+            let cycles = chip.start_round(cost, &mut batch, 0).expect("resident");
+            chip.end_round_into(&mut Vec::new());
+            cycles
+        };
+        // A lone resident's round lasts its slice's longest term.
+        let lone = |s: StepCost| s.serial_cycles.max(s.compute_cycles).max(s.dram_cycles);
+        let first = round(&mut chip, &mut cost);
+        assert_eq!(first, lone(prefill_slice(pass, chunk)));
+        assert_eq!(round(&mut chip, &mut cost), first, "the kept slice");
+        // The oracle reprices the pass: the next chunk is sliced afresh.
+        cost.compute_scale = 8;
+        let fresh = lone(prefill_slice(cost.prefill_on(0, &w), chunk));
+        assert!(fresh > first, "{fresh} vs {first}");
+        assert_eq!(round(&mut chip, &mut cost), fresh);
+        assert_eq!(chip.est_drift, 0);
     }
 }

@@ -29,6 +29,7 @@ use spatten_nn::ModelConfig;
 use spatten_workloads::fleet::LinkSpec;
 use spatten_workloads::spec::BitwidthScheme;
 use spatten_workloads::Workload;
+use std::ops::Range;
 
 /// Decode context lengths are bucketed to this granularity for memoization
 /// (a 16-token context difference moves a decode step's cost by well under
@@ -350,15 +351,26 @@ pub trait FleetCost {
     /// call for the same chip.
     fn note_batch(&mut self, _chip: usize, _resident: usize) {}
 
+    /// Serial cycles of one decode step of `w` on `chip` at every context
+    /// in `contexts`, summed: the decode half of every backlog estimate
+    /// ([`FleetCost::job_serial_on`],
+    /// [`remaining_cycles_on`](crate::scheduler::remaining_cycles_on)).
+    /// The default asks [`FleetCost::decode_on`] once per context, in
+    /// ascending order. An oracle whose decode price is constant across a
+    /// run of contexts may price the run once and multiply: the sum is of
+    /// `u64`s, so that is exact, not an approximation.
+    fn decode_span_on(&mut self, chip: usize, w: &Workload, contexts: Range<usize>) -> u64 {
+        contexts
+            .map(|context| self.decode_on(chip, w, context).serial_cycles)
+            .sum()
+    }
+
     /// Serialized cycles of the whole job on `chip`: prefill plus every
     /// decode step. This is what a run-to-completion scheduler charges, and
     /// what shortest-job-first sorts by.
     fn job_serial_on(&mut self, chip: usize, w: &Workload) -> u64 {
-        let mut total = self.prefill_on(chip, w).serial_cycles;
-        for step in 0..w.gen_steps {
-            total += self.decode_on(chip, w, w.seq_len + step + 1).serial_cycles;
-        }
-        total
+        let prefill = self.prefill_on(chip, w).serial_cycles;
+        prefill + self.decode_span_on(chip, w, w.seq_len + 1..w.seq_len + w.gen_steps + 1)
     }
 
     /// Cycles from job start until its first visible token on `chip`: the
@@ -514,6 +526,24 @@ impl CostModel {
         }
     }
 
+    /// One decode step of class `class` (`w`'s interned id) on slot
+    /// `slot` at bucket index `idx` (context `idx * CTX_BUCKET`): a memo
+    /// hit, or the cycle model on a seed-normalized representative.
+    fn decode_bucket(&mut self, slot: usize, class: usize, w: &Workload, idx: usize) -> StepCost {
+        let shard = self.slot_shards[slot];
+        if let Some(c) = memo_get(&self.shards[shard].decode, class, idx) {
+            return c;
+        }
+        let bucket = idx * CTX_BUCKET;
+        let rep = representative(w, bucket);
+        let mut cost = decode_step_cost(&self.chip_cfgs[slot], &rep, bucket);
+        if let Some(e2e) = self.e2e_for(slot) {
+            cost.add(e2e.fc_decode_cost(&rep));
+        }
+        memo_put(&mut self.shards[shard].decode, class, idx, cost);
+        cost
+    }
+
     fn e2e_for(&mut self, slot: usize) -> Option<&SpAttenE2e> {
         let bits = self.fc_weight_bits?;
         let shard = self.slot_shards[slot];
@@ -585,20 +615,32 @@ impl FleetCost for CostModel {
 
     fn decode_on(&mut self, chip: usize, w: &Workload, context: usize) -> StepCost {
         let slot = self.slot(chip);
-        let shard = self.slot_shards[slot];
         let class = self.classes.id(w);
-        let idx = context.max(1).div_ceil(CTX_BUCKET);
-        if let Some(c) = memo_get(&self.shards[shard].decode, class, idx) {
-            return c;
+        self.decode_bucket(slot, class, w, context.max(1).div_ceil(CTX_BUCKET))
+    }
+
+    /// Interns the class once and prices each [`CTX_BUCKET`] the run
+    /// touches once, as `contexts in the bucket × serial_cycles`. Buckets
+    /// are visited in ascending order, so misses fill the memo exactly as
+    /// the per-context default would.
+    fn decode_span_on(&mut self, chip: usize, w: &Workload, contexts: Range<usize>) -> u64 {
+        if contexts.is_empty() {
+            return 0;
         }
-        let bucket = idx * CTX_BUCKET;
-        let rep = representative(w, bucket);
-        let mut cost = decode_step_cost(&self.chip_cfgs[slot], &rep, bucket);
-        if let Some(e2e) = self.e2e_for(slot) {
-            cost.add(e2e.fc_decode_cost(&rep));
+        let slot = self.slot(chip);
+        let class = self.classes.id(w);
+        let mut total = 0;
+        let mut context = contexts.start;
+        while context < contexts.end {
+            let idx = context.max(1).div_ceil(CTX_BUCKET);
+            // Contexts `(idx - 1) * CTX_BUCKET + 1 ..= idx * CTX_BUCKET`
+            // (and context 0) share bucket `idx`.
+            let next = (idx * CTX_BUCKET + 1).min(contexts.end);
+            let step = self.decode_bucket(slot, class, w, idx).serial_cycles;
+            total += (next - context) as u64 * step;
+            context = next;
         }
-        memo_put(&mut self.shards[shard].decode, class, idx, cost);
-        cost
+        total
     }
 
     fn footprint_on(&mut self, chip: usize, w: &Workload) -> u64 {
@@ -971,6 +1013,55 @@ mod tests {
         }
         assert_eq!(total, expect);
         assert!(m.first_token_on(0, &w) < total);
+    }
+
+    #[test]
+    fn decode_span_equals_the_per_context_sum() {
+        let fleet = || {
+            CostModel::heterogeneous(
+                vec![SpAttenConfig::default(), SpAttenConfig::eighth()],
+                Some(8),
+            )
+        };
+        // The span oracle prices runs; the reference asks `decode_on`
+        // once per context, as the trait default does.
+        let (mut spans, mut tokens) = (fleet(), fleet());
+        let w = Benchmark::gpt2_small_wikitext2().workload();
+        let table = [
+            0..0,     // empty
+            40..40,   // empty, mid-bucket
+            0..1,     // context 0 alone (bucket 1)
+            0..17,    // from 0 through the end of bucket 1
+            1..2,     // one context
+            1..17,    // exactly bucket 1
+            1..18,    // bucket 1 plus the head of bucket 2
+            3..9,     // inside one bucket
+            16..49,   // a bucket's last context through the next two
+            17..33,   // exactly bucket 2
+            100..260, // across ten buckets, ragged at both ends
+        ];
+        // Cold: every bucket is a miss the first time either oracle
+        // sees it. Warm: the same queries again, all hits.
+        for pass in ["cold", "warm"] {
+            for chip in 0..2 {
+                for contexts in table.clone() {
+                    let per_context: u64 = contexts
+                        .clone()
+                        .map(|c| tokens.decode_on(chip, &w, c).serial_cycles)
+                        .sum();
+                    assert_eq!(
+                        spans.decode_span_on(chip, &w, contexts.clone()),
+                        per_context,
+                        "{pass} chip {chip} contexts {contexts:?}"
+                    );
+                }
+            }
+            // The span fills the memo exactly as the per-context walk.
+            for (a, b) in spans.shards.iter().zip(&tokens.shards) {
+                assert_eq!(a.decode, b.decode, "{pass}: decode memo differs");
+            }
+        }
+        assert_eq!(spans.shards.len(), 2, "both shards priced");
     }
 
     #[test]

@@ -104,6 +104,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::batch::BatchPolicy;
 use crate::chip::Chip;
@@ -186,6 +187,7 @@ fn job_from(req: &TraceRequest, client: Option<usize>, arrival_cycles: u64, cloc
         shared_prefix_tokens: req.shared_prefix_tokens,
         revoked: false,
         workload: req.workload.clone(),
+        kv_need: Default::default(),
     }
 }
 
@@ -213,6 +215,10 @@ impl<C: FleetCost> FleetCost for FitView<'_, C> {
 
     fn decode_on(&mut self, chip: usize, w: &Workload, context: usize) -> StepCost {
         self.base.decode_on(chip, w, context)
+    }
+
+    fn decode_span_on(&mut self, chip: usize, w: &Workload, contexts: Range<usize>) -> u64 {
+        self.base.decode_span_on(chip, w, contexts)
     }
 
     fn footprint_on(&mut self, chip: usize, w: &Workload) -> u64 {

@@ -62,6 +62,7 @@
 use crate::cost::FleetCost;
 use crate::request::{Job, ResumeState};
 use spatten_workloads::Workload;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// How a chip's KV SRAM budget is carved up — the `SchedKnobs` knob
@@ -174,6 +175,25 @@ impl JobKvNeed {
         }
     }
 
+    /// [`JobKvNeed::of`], priced once per job and chip: the need is a
+    /// pure function of the chip's oracle and the job's class, workload
+    /// and shared-prefix length, none of which change while the job
+    /// lives, so it is kept in [`Job::kv_need`] and re-read — a blocked
+    /// queue head is fit-checked at every round end of its chip. The
+    /// memo holds one chip; a job priced on another chip (a handoff
+    /// target, a heterogeneous peer) is priced afresh there.
+    pub(crate) fn memoized(cost: &mut dyn FleetCost, chip: usize, job: &Job) -> Self {
+        if let Some((memo_chip, need)) = job.kv_need.0.get() {
+            if memo_chip == chip {
+                debug_assert_eq!(need, Self::of(cost, chip, job), "stale KV need memo");
+                return need;
+            }
+        }
+        let need = Self::of(cost, chip, job);
+        job.kv_need.0.set(Some((chip, need)));
+        need
+    }
+
     /// Bytes held after `steps_done` decode steps: starts at
     /// `raw_bytes`, ramps linearly to `final_bytes` over `horizon`
     /// steps, then stays flat. Monotonically non-increasing in
@@ -183,6 +203,20 @@ impl JobKvNeed {
         let t = steps_done.min(self.horizon);
         let retired = overhang.saturating_mul(t) / self.horizon;
         (self.raw_bytes - retired).max(self.final_bytes)
+    }
+}
+
+/// A job's [`JobKvNeed`] as the engine last priced it, and the chip it
+/// was priced for; empty (`Default`) until the job's first paged fit
+/// check, and opaque outside this crate. It travels with the job and its
+/// clones, and takes no part in equality: two jobs are equal whatever
+/// they have been priced on.
+#[derive(Debug, Clone, Default)]
+pub struct KvNeedMemo(Cell<Option<(usize, JobKvNeed)>>);
+
+impl PartialEq for KvNeedMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
@@ -602,7 +636,7 @@ impl ChipKv {
         match self {
             ChipKv::Contiguous { .. } => cost.footprint_on(chip, &job.workload),
             ChipKv::Paged(p) => {
-                let need = JobKvNeed::of(cost, chip, job);
+                let need = JobKvNeed::memoized(cost, chip, job);
                 p.admission_bytes(&need, resume_steps(job))
             }
         }
@@ -627,7 +661,7 @@ impl ChipKv {
                 (footprint, 0)
             }
             ChipKv::Paged(p) => {
-                let need = JobKvNeed::of(cost, chip, job);
+                let need = JobKvNeed::memoized(cost, chip, job);
                 let (warm, prefix_total) = p.warm_prefix_blocks(&need);
                 let mut skip = 0;
                 if warm > 0 {
@@ -697,7 +731,7 @@ impl ChipKv {
         match self {
             ChipKv::Contiguous { .. } => 0,
             ChipKv::Paged(p) => {
-                let need = JobKvNeed::of(cost, chip, job);
+                let need = JobKvNeed::memoized(cost, chip, job);
                 let (warm, total) = p.warm_prefix_blocks(&need);
                 (total - warm) * p.block_bytes()
             }
@@ -881,6 +915,7 @@ mod tests {
             shared_prefix_tokens: shared,
             revoked: false,
             workload,
+            kv_need: Default::default(),
         }
     }
 
@@ -923,6 +958,52 @@ mod tests {
         assert_eq!(kv.unmap(2, unique2, 3), unique2);
         assert_eq!(kv.stats().shared_hits, 1);
         kv.assert_drained();
+    }
+
+    #[test]
+    fn kv_need_is_priced_per_chip_on_a_heterogeneous_fleet() {
+        use spatten_core::SpAttenConfig;
+        // A long job on an eighth-scale chip with an eighth of the KV
+        // SRAM: its working set is clamped to the smaller budget there,
+        // so the two chips need different curves.
+        let table_i = SpAttenConfig::default();
+        let eighth = SpAttenConfig {
+            kv_sram_bytes: table_i.kv_sram_bytes / 8,
+            ..SpAttenConfig::eighth()
+        };
+        let mut cost = crate::cost::CostModel::heterogeneous(vec![table_i, eighth], Some(8));
+        let long_job = || {
+            let mut job = gpt2_job(1, 128);
+            job.workload.seq_len = 1024;
+            job.workload.gen_steps = 256;
+            job
+        };
+        let job = long_job();
+        let needs = [
+            JobKvNeed::of(&mut cost, 0, &job),
+            JobKvNeed::of(&mut cost, 1, &job),
+        ];
+        assert_ne!(needs[0], needs[1], "the two chips price the job apart");
+        let stores = [
+            ChipKv::new(KvSpec::paged(), cost.budget_on(0)),
+            ChipKv::new(KvSpec::paged(), cost.budget_on(1)),
+        ];
+        // Table-I, then eighth-scale, then Table-I again: every fit check
+        // gets its own chip's price, never the other chip's memo.
+        for chip in [0, 1, 0, 0] {
+            let ChipKv::Paged(pager) = &stores[chip] else {
+                unreachable!("paged store")
+            };
+            assert_eq!(
+                stores[chip].fit_bytes(&mut cost, chip, &job),
+                pager.admission_bytes(&needs[chip], 0),
+                "chip {chip}"
+            );
+            assert_eq!(job.kv_need.0.get(), Some((chip, needs[chip])));
+        }
+        // The memo rides along with clones but takes no part in `==`.
+        assert_eq!(job.clone().kv_need.0.get(), Some((0, needs[0])));
+        assert_eq!(job, long_job());
     }
 
     #[test]

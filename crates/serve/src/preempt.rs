@@ -283,6 +283,7 @@ mod tests {
             shared_prefix_tokens: 0,
             revoked: false,
             workload,
+            kv_need: Default::default(),
         }
     }
 

@@ -3,6 +3,7 @@
 //! record the metrics layer aggregates, and the rejection record
 //! SLO-aware admission produces.
 
+use crate::kv::KvNeedMemo;
 use spatten_workloads::Workload;
 
 /// A request inside the simulator: trace identity plus arrival timestamp in
@@ -46,6 +47,11 @@ pub struct Job {
     pub revoked: bool,
     /// The per-request workload.
     pub workload: Workload,
+    /// The job's paged-KV demand curve
+    /// ([`JobKvNeed`](crate::kv::JobKvNeed)) as last priced, and for
+    /// which chip, so fit checks do not re-price it. Start it empty
+    /// (`Default::default()`); it takes no part in `==`.
+    pub kv_need: KvNeedMemo,
 }
 
 /// The execution progress a preempted job carries back to the queue: its

@@ -511,6 +511,7 @@ mod tests {
             shared_prefix_tokens: 0,
             revoked: false,
             workload,
+            kv_need: Default::default(),
         }
     }
 

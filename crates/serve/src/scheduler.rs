@@ -436,7 +436,7 @@ pub fn remaining_cycles_on<C: FleetCost + ?Sized>(cost: &mut C, chip: usize, job
     let Some(r) = &job.resume else {
         return cost.job_serial_on(chip, w);
     };
-    let mut total = if r.prefilled {
+    let total = if r.prefilled {
         0
     } else {
         cost.prefill_on(chip, w)
@@ -444,10 +444,7 @@ pub fn remaining_cycles_on<C: FleetCost + ?Sized>(cost: &mut C, chip: usize, job
             .saturating_sub(r.prefill_progress)
     };
     let done = if r.prefilled { r.steps_done } else { 0 };
-    for step in done..w.gen_steps {
-        total += cost.decode_on(chip, w, w.seq_len + step + 1).serial_cycles;
-    }
-    total
+    total + cost.decode_span_on(chip, w, w.seq_len + done + 1..w.seq_len + w.gen_steps + 1)
 }
 
 /// A chip's admission capacity, passed to [`AdmissionPolicy::admit`] and
@@ -543,6 +540,17 @@ pub struct Admission {
 /// queue, the chip's capacity, and the fleet cost oracle (priced against
 /// the *calling* chip, so heterogeneous fleets pack each chip by its own
 /// budget).
+///
+/// **Call pattern.** Each admission pass for a chip
+/// ([`Scheduler::take`]) calls [`AdmissionPolicy::admit`] first on the
+/// chip's private queue — always, even when it is empty, so every chip
+/// the engine kicks introduces itself to a stateful policy — and then,
+/// against the capacity left over, on the fleet-wide shared queue, but
+/// only when that queue holds work. A policy must therefore decide
+/// nothing for an empty queue (every bundled policy admits and rejects
+/// nothing there), and must not count on a call per queue per pass. A
+/// draining chip's pass ([`Scheduler::take_local`]) is the private-queue
+/// call alone.
 ///
 /// ```
 /// use spatten_serve::{
@@ -812,10 +820,11 @@ impl AdmissionPolicy for KvAwareAdmission {
 /// win.
 #[derive(Debug, Clone, Default)]
 pub struct SloAwareAdmission {
-    /// Every chip index whose admission this policy has handled. All
-    /// chips are polled on each arrival, so after the first event this
-    /// covers the fleet; until a chip has introduced itself its speed is
-    /// unknown and cannot condemn a job.
+    /// Every chip index whose admission this policy has handled. An
+    /// arrival kicks every chip, and each admission pass opens with a
+    /// call on the chip's private queue (empty or not), so after the
+    /// first event this covers the fleet; until a chip has introduced
+    /// itself its speed is unknown and cannot condemn a job.
     chips_seen: Vec<usize>,
 }
 
@@ -1141,9 +1150,10 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
 
     /// Asks the policy what the calling chip should admit right now: its
     /// private queue first ([`Scheduler::take_local`]), then the shared
-    /// queue against whatever capacity remains. Admitted and rejected
-    /// jobs are removed from their queue; an empty decision means the
-    /// chip stays as it is.
+    /// queue against whatever capacity remains — skipped when the shared
+    /// queue is empty (always, under routing that places every arrival).
+    /// Admitted and rejected jobs are removed from their queue; an empty
+    /// decision means the chip stays as it is.
     pub fn take<C: FleetCost>(
         &mut self,
         cost: &mut C,
@@ -1152,6 +1162,9 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         now: u64,
     ) -> Admission {
         let mut out = self.take_local(cost, chip, cap, now);
+        if self.shared.is_empty() {
+            return out;
+        }
         let mut cap = cap;
         for job in &out.jobs {
             cap.active += 1;
@@ -1253,6 +1266,7 @@ mod tests {
             shared_prefix_tokens: 0,
             revoked: false,
             workload,
+            kv_need: Default::default(),
         }
     }
 

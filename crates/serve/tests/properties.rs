@@ -3,12 +3,12 @@
 //! end-to-end smoke test.
 
 use proptest::prelude::*;
-use spatten_core::SpAttenConfig;
+use spatten_core::{SpAttenConfig, StepCost};
 use spatten_serve::{
-    simulate_fleet, FleetConfig, KvSpec, Policy, PoolSpec, PreemptSpec, RouteSpec, SimMode,
-    StealSpec,
+    fleet_engine_policy, simulate_fleet, CostModel, FleetConfig, FleetCost, FleetReport, KvSpec,
+    Policy, PoolSpec, PreemptSpec, RouteSpec, SimMode, StealSpec,
 };
-use spatten_workloads::{ArrivalSpec, Trace, TraceSpec};
+use spatten_workloads::{ArrivalSpec, Trace, TraceSpec, Workload};
 
 fn open_trace(requests: usize, rate_rps: f64, seed: u64) -> Trace {
     TraceSpec::mixed(ArrivalSpec::OpenPoisson { rate_rps, requests }, seed).generate()
@@ -22,8 +22,106 @@ fn tiered_trace(requests: usize, rate_rps: f64, seed: u64) -> Trace {
     spec.generate()
 }
 
+/// A pass-through oracle over [`CostModel`]: it forwards the methods the
+/// model prices itself and leaves every composite method
+/// (`decode_span_on`, `job_serial_on`, `first_token_on`,
+/// `job_footprint_on`, `handoff_cycles_on`) on its trait default, as
+/// perfbench's traced oracle does. A replay through it takes the
+/// per-context default paths that the model's overrides must reproduce.
+struct Defaults(CostModel);
+
+impl FleetCost for Defaults {
+    fn prefill_on(&mut self, chip: usize, w: &Workload) -> StepCost {
+        self.0.prefill_on(chip, w)
+    }
+    fn decode_on(&mut self, chip: usize, w: &Workload, context: usize) -> StepCost {
+        self.0.decode_on(chip, w, context)
+    }
+    fn footprint_on(&mut self, chip: usize, w: &Workload) -> u64 {
+        self.0.footprint_on(chip, w)
+    }
+    fn budget_on(&self, chip: usize) -> u64 {
+        self.0.budget_on(chip)
+    }
+    fn swap_cycles_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
+        self.0.swap_cycles_on(chip, w, tokens)
+    }
+    fn raw_kv_bytes_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
+        self.0.raw_kv_bytes_on(chip, w, tokens)
+    }
+    fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64 {
+        self.0.swap_bytes_cycles_on(chip, w, bytes)
+    }
+    fn weight_load_cycles_on(&mut self, chip: usize, w: &Workload) -> u64 {
+        self.0.weight_load_cycles_on(chip, w)
+    }
+}
+
+/// Replays `trace` on `cfg`'s fleet priced by `cost`.
+fn replay_with<C: FleetCost>(cost: C, cfg: &FleetConfig, trace: &Trace) -> FleetReport {
+    fleet_engine_policy(
+        cost,
+        cfg.chips,
+        cfg.policy,
+        &cfg.sched,
+        cfg.pools.clone(),
+        None,
+        cfg.max_batch,
+        cfg.accel.clock_ghz,
+    )
+    .replay(trace)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `CostModel`'s overrides of defaulted `FleetCost` methods (the
+    /// per-bucket `decode_span_on`) change no simulated number:
+    /// co-located, paged and disaggregated replays on a heterogeneous
+    /// fleet under priority preemption, whose resumed jobs re-price
+    /// their remaining decode steps, give the same `FleetReport` through
+    /// the model and through the pass-through [`Defaults`].
+    #[test]
+    fn cost_model_overrides_match_the_trait_defaults(
+        requests in 40usize..120,
+        rate in 1000.0f64..6000.0,
+        seed in 0u64..1000,
+        shape in 0usize..3,
+        shared_queue in 0usize..2,
+    ) {
+        let roster = vec![
+            SpAttenConfig::default(),
+            SpAttenConfig::default(),
+            SpAttenConfig::eighth(),
+        ];
+        let mut cfg = FleetConfig::with_chips(roster.clone(), Policy::Priority);
+        cfg.sched.preempt = PreemptSpec::Priority;
+        cfg.sched.route = if shared_queue == 1 {
+            RouteSpec::SharedQueue
+        } else {
+            RouteSpec::FastestChip
+        };
+        let arrivals = ArrivalSpec::OpenPoisson { rate_rps: rate, requests };
+        let trace = match shape {
+            0 => tiered_trace(requests, rate, seed),
+            1 => {
+                cfg.sched.kv = KvSpec::paged();
+                TraceSpec::chat(arrivals, seed).generate()
+            }
+            _ => {
+                cfg.sched.kv = KvSpec::paged();
+                cfg.sched.route = RouteSpec::PoolAware;
+                cfg.pools = Some(PoolSpec::split(1, 2));
+                TraceSpec::chat(arrivals, seed).generate()
+            }
+        };
+        let model = || CostModel::heterogeneous(roster.clone(), cfg.fc_weight_bits);
+        let overridden = replay_with(model(), &cfg, &trace);
+        let defaults = replay_with(Defaults(model()), &cfg, &trace);
+        prop_assert_eq!(overridden.completed, requests);
+        prop_assert!(overridden.preemptions > 0, "no job was preempted and resumed");
+        prop_assert_eq!(&overridden, &defaults);
+    }
 
     /// No request is ever lost or duplicated, under any policy, fleet
     /// size or offered load.
