@@ -52,7 +52,7 @@ use crate::shard::{
 };
 use crate::topology::{Interconnect, Topology};
 use spatten_core::{SpAttenConfig, StepCost};
-use spatten_serve::{representative, ClassKey, FleetCost, CTX_BUCKET};
+use spatten_serve::{hbm_stream_cycles, representative, ClassKey, FleetCost, CTX_BUCKET};
 use spatten_workloads::fleet::{LinkSpec, TopologySpec};
 use spatten_workloads::Workload;
 use std::collections::HashMap;
@@ -387,10 +387,7 @@ impl FleetCost for ClusterCostModel {
         let cycles = (0..g.strategy.shards())
             .map(|s| {
                 let cfg = &g.chips[s];
-                let bytes = shard_kv_footprint(cfg, &rep, &g.strategy, s);
-                let per_hbm_cycle = (cfg.hbm.channels as u64 * cfg.hbm.bytes_per_cycle).max(1);
-                let hbm_cycles = bytes.div_ceil(per_hbm_cycle);
-                (hbm_cycles as f64 * cfg.clock_ghz / cfg.hbm.clock_ghz).ceil() as u64
+                hbm_stream_cycles(cfg, shard_kv_footprint(cfg, &rep, &g.strategy, s))
             })
             .max()
             .unwrap_or(0);
@@ -439,11 +436,7 @@ impl FleetCost for ClusterCostModel {
         let slice = bytes.div_ceil(g.strategy.shards().max(1) as u64);
         g.chips
             .iter()
-            .map(|cfg| {
-                let per_hbm_cycle = (cfg.hbm.channels as u64 * cfg.hbm.bytes_per_cycle).max(1);
-                let hbm_cycles = slice.div_ceil(per_hbm_cycle);
-                (hbm_cycles as f64 * cfg.clock_ghz / cfg.hbm.clock_ghz).ceil() as u64
-            })
+            .map(|cfg| hbm_stream_cycles(cfg, slice))
             .max()
             .unwrap_or(0)
     }

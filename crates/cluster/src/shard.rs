@@ -29,6 +29,7 @@ use spatten_core::{
     decode_step_cost_heads, decode_step_cost_layers, prefill_cost_heads, prefill_cost_layers,
     shard_heads, surviving_tokens, SpAttenConfig, SpAttenE2e, StepCost,
 };
+use spatten_serve::{kv_plane_bytes, peak_survivors};
 use spatten_workloads::Workload;
 
 /// How a model splits across the chips of one group.
@@ -237,40 +238,23 @@ pub fn shard_kv_footprint(
 ) -> u64 {
     strategy.validate(w.model.layers);
     let max_ctx = w.seq_len + w.gen_steps;
-    let bits = u64::from(w.quant.scheme.msb_bits());
-    let d = w.model.head_dim() as u64;
     match strategy {
         ShardStrategy::TensorParallel { ways } => {
             let deepest = surviving_tokens(cfg, w, w.model.layers - 1, max_ctx);
-            let cols = d * shard_heads(w.model.heads, shard, *ways) as u64;
-            deepest as u64 * 2 * (cols * bits).div_ceil(8)
+            kv_plane_bytes(w, deepest, tp_cols(w, shard, *ways))
         }
         ShardStrategy::PipelineParallel { stages, .. } => {
             let (_, end) = stages[shard];
             let deepest = surviving_tokens(cfg, w, end - 1, max_ctx);
-            let per_token = 2 * (w.model.hidden as u64 * bits).div_ceil(8);
-            deepest as u64 * per_token
+            kv_plane_bytes(w, deepest, w.model.hidden as u64)
         }
     }
 }
 
-/// The largest survivor set any *pruned* cascade stage in `layers` holds
-/// for a `tokens`-token context — the transient planning peak a paged
-/// allocator sizes page tables from. Entry stages that have not pruned
-/// yet stream through scratch and never land in the paged pool, so they
-/// don't count; if nothing in the range prunes, the full token count
-/// stands.
-fn peak_survivors(
-    cfg: &SpAttenConfig,
-    w: &Workload,
-    layers: std::ops::Range<usize>,
-    tokens: usize,
-) -> usize {
-    layers
-        .map(|l| surviving_tokens(cfg, w, l, tokens))
-        .filter(|&s| s < tokens)
-        .max()
-        .unwrap_or(tokens)
+/// KV columns tensor-parallel shard `shard` of `ways` holds: its heads'
+/// slice of the hidden width.
+fn tp_cols(w: &Workload, shard: usize, ways: usize) -> u64 {
+    w.model.head_dim() as u64 * shard_heads(w.model.heads, shard, ways) as u64
 }
 
 /// KV-cache bytes shard `shard` transiently holds at the *planning peak*
@@ -290,19 +274,15 @@ pub fn shard_kv_peak(
     if tokens == 0 {
         return 0;
     }
-    let bits = u64::from(w.quant.scheme.msb_bits());
-    let d = w.model.head_dim() as u64;
     match strategy {
         ShardStrategy::TensorParallel { ways } => {
             let peak = peak_survivors(cfg, w, 0..w.model.layers, tokens);
-            let cols = d * shard_heads(w.model.heads, shard, *ways) as u64;
-            peak as u64 * 2 * (cols * bits).div_ceil(8)
+            kv_plane_bytes(w, peak, tp_cols(w, shard, *ways))
         }
         ShardStrategy::PipelineParallel { stages, .. } => {
             let (start, end) = stages[shard];
             let peak = peak_survivors(cfg, w, start..end, tokens);
-            let per_token = 2 * (w.model.hidden as u64 * bits).div_ceil(8);
-            peak as u64 * per_token
+            kv_plane_bytes(w, peak, w.model.hidden as u64)
         }
     }
 }

@@ -388,6 +388,7 @@ mod tests {
     #[test]
     fn oversized_and_malformed_requests_are_refused_and_serving_continues() {
         use crate::{MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES};
+        use spatten_serve::json::MAX_DEPTH;
         let server = Server::start(
             ServerConfig {
                 chips: 1,
@@ -401,6 +402,8 @@ mod tests {
         let addr = server.addr();
         let long = "a".repeat(MAX_LINE_BYTES);
         let headers = |n: usize| -> String { (0..n).map(|i| format!("X-{i}: v\r\n")).collect() };
+        let deep = "[".repeat(20_000);
+        let too_deep = format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}");
         let refused = [
             (
                 format!("GET /{long} HTTP/1.1\r\n\r\n"),
@@ -429,6 +432,14 @@ mod tests {
                 ),
                 413,
                 "body over 1 MiB",
+            ),
+            (
+                format!(
+                    "POST /v1/generate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{deep}",
+                    deep.len()
+                ),
+                400,
+                too_deep.as_str(),
             ),
         ];
         for (raw, code, error) in &refused {

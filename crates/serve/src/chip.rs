@@ -1222,6 +1222,22 @@ mod tests {
         ) -> u64 {
             self.inner.swap_cycles_on(chip, w, tokens)
         }
+        fn raw_kv_bytes_on(
+            &mut self,
+            chip: usize,
+            w: &spatten_workloads::Workload,
+            tokens: usize,
+        ) -> u64 {
+            self.inner.raw_kv_bytes_on(chip, w, tokens)
+        }
+        fn swap_bytes_cycles_on(
+            &mut self,
+            chip: usize,
+            w: &spatten_workloads::Workload,
+            bytes: u64,
+        ) -> u64 {
+            self.inner.swap_bytes_cycles_on(chip, w, bytes)
+        }
     }
 
     #[test]

@@ -269,38 +269,19 @@ pub trait FleetCost {
         self.footprint_on(chip, &job.workload)
     }
 
-    /// Raw (pre-pruning) KV bytes of a `tokens`-token context of `w` on
-    /// `chip` — what prefill materializes before cascade pruning retires
-    /// non-survivors down to the [`FleetCost::footprint_on`] working set.
-    /// The paged allocator sizes a job's peak page count from this. The
-    /// default approximates it as a proportional slice of the pruned
-    /// working set; exact models override with the unpruned byte count.
-    fn raw_kv_bytes_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
-        if tokens == 0 {
-            return 0;
-        }
-        let max_ctx = (w.seq_len + w.gen_steps).max(1);
-        self.footprint_on(chip, w)
-            .saturating_mul(tokens as u64)
-            .div_ceil(max_ctx as u64)
-    }
+    /// KV bytes a `tokens`-token context of `w` transiently holds on
+    /// `chip` at its planning peak — the largest survivor set any
+    /// *pruned* cascade stage keeps ([`peak_survivors`]), bigger than the
+    /// deepest-layer [`FleetCost::footprint_on`] working set that decode
+    /// steps retire it down to. The paged allocator sizes a job's peak
+    /// page count from this.
+    fn raw_kv_bytes_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64;
 
     /// Cycles to move `bytes` of KV state through `chip`'s HBM **one
     /// way**, for callers that already know the byte count: the paged
     /// allocator charges a preemption victim's *unique* (non-shared)
     /// pages through this instead of repricing the whole working set.
-    /// The default rescales [`FleetCost::swap_cycles_on`] at the job's
-    /// maximum context proportionally; exact models override with their
-    /// bandwidth formula.
-    fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let max_ctx = (w.seq_len + w.gen_steps).max(1);
-        let full_cycles = self.swap_cycles_on(chip, w, max_ctx).max(1);
-        let full_bytes = self.raw_kv_bytes_on(chip, w, max_ctx).max(1);
-        full_cycles.saturating_mul(bytes).div_ceil(full_bytes)
-    }
+    fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64;
 
     /// Cycles to stream `w`'s model weights into `chip`'s HBM before it
     /// can serve: the price of bringing a cold chip online
@@ -323,9 +304,9 @@ pub trait FleetCost {
     /// `link`, and the destination fills its own KV store — three
     /// pipelined stages, so the transfer runs at the slowest stage's rate
     /// plus the per-hop propagation latency. The caller (the disaggregation
-    /// layer) supplies `hops` and `link` from its [`PoolSpec`]; oracles
-    /// with a real interconnect model (`spatten-cluster`) override this
-    /// with their fabric's occupancy-tracked price.
+    /// layer) supplies `hops` and `link` from its [`PoolSpec`]. Every
+    /// oracle, `spatten-cluster`'s included, prices the handoff this way,
+    /// through its own [`FleetCost::swap_bytes_cycles_on`].
     ///
     /// [`PoolSpec`]: crate::disagg::PoolSpec
     fn handoff_cycles_on(
@@ -412,6 +393,45 @@ pub fn model_weight_bytes(m: &ModelConfig, bits: u32) -> u64 {
         .div_ceil(8)
 }
 
+/// Core cycles to stream `bytes` through `cfg`'s HBM at its aggregate
+/// bandwidth: `channels × bytes_per_cycle` per HBM cycle, rescaled across
+/// the clock domains the way the fleet event queue ticks (core cycles).
+/// Every swap, handoff and weight-load price, sharded ones included,
+/// drains through this.
+pub fn hbm_stream_cycles(cfg: &SpAttenConfig, bytes: u64) -> u64 {
+    let per_hbm_cycle = (cfg.hbm.channels as u64 * cfg.hbm.bytes_per_cycle).max(1);
+    let hbm_cycles = bytes.div_ceil(per_hbm_cycle);
+    (hbm_cycles as f64 * cfg.clock_ghz / cfg.hbm.clock_ghz).ceil() as u64
+}
+
+/// Bytes of the K and V planes of `tokens` token rows `cols` columns
+/// wide, at `w`'s MSB storage precision (the plane SpAtten streams during
+/// generation). `cols` is the model's hidden width, or a tensor-parallel
+/// shard's slice of it.
+pub fn kv_plane_bytes(w: &Workload, tokens: usize, cols: u64) -> u64 {
+    let bits = u64::from(w.quant.scheme.msb_bits());
+    tokens as u64 * 2 * (cols * bits).div_ceil(8)
+}
+
+/// The largest survivor set any *pruned* cascade stage in `layers` holds
+/// for a `tokens`-token context — the transient planning peak a paged
+/// allocator sizes page tables from. Entry stages that have not pruned
+/// yet stream through scratch and never land in the paged pool, so they
+/// don't count; if nothing in the range prunes (cascade off), the full
+/// token count stands.
+pub fn peak_survivors(
+    cfg: &SpAttenConfig,
+    w: &Workload,
+    layers: Range<usize>,
+    tokens: usize,
+) -> usize {
+    layers
+        .map(|l| surviving_tokens(cfg, w, l, tokens))
+        .filter(|&s| s < tokens)
+        .max()
+        .unwrap_or(tokens)
+}
+
 /// KV-cache bytes of a `tokens`-token context of `w` on `cfg`: the
 /// deepest-layer survivor set, K and V planes at the workload's MSB
 /// storage precision. The single working-set convention
@@ -420,8 +440,7 @@ pub fn model_weight_bytes(m: &ModelConfig, bits: u32) -> u64 {
 /// both stay consistent.
 fn kv_working_set_bytes(cfg: &SpAttenConfig, w: &Workload, tokens: usize) -> u64 {
     let deepest = surviving_tokens(cfg, w, w.model.layers - 1, tokens.max(1));
-    let bits = u64::from(w.quant.scheme.msb_bits());
-    deepest as u64 * 2 * (w.model.hidden as u64 * bits).div_ceil(8)
+    kv_plane_bytes(w, deepest, w.model.hidden as u64)
 }
 
 /// One distinct chip configuration's memo tables, densely indexed by
@@ -534,49 +553,45 @@ impl CostModel {
         if let Some(c) = memo_get(&self.shards[shard].decode, class, idx) {
             return c;
         }
-        let bucket = idx * CTX_BUCKET;
-        let rep = representative(w, bucket);
-        let mut cost = decode_step_cost(&self.chip_cfgs[slot], &rep, bucket);
-        if let Some(e2e) = self.e2e_for(slot) {
-            cost.add(e2e.fc_decode_cost(&rep));
-        }
+        let cost = self.miss(slot, w, Miss::Decode(idx));
         memo_put(&mut self.shards[shard].decode, class, idx, cost);
         cost
     }
 
-    fn e2e_for(&mut self, slot: usize) -> Option<&SpAttenE2e> {
-        let bits = self.fc_weight_bits?;
+    /// Builds the e2e FC model of `slot`'s shard on first use (end-to-end
+    /// oracles only).
+    fn build_e2e(&mut self, slot: usize) {
         let shard = self.slot_shards[slot];
-        let entry = &mut self.e2e[shard];
-        if entry.is_none() {
-            *entry = Some(SpAttenE2e::new(self.chip_cfgs[slot], bits));
+        if let (Some(bits), None) = (self.fc_weight_bits, &self.e2e[shard]) {
+            self.e2e[shard] = Some(SpAttenE2e::new(self.chip_cfgs[slot], bits));
         }
-        entry.as_ref()
+    }
+
+    /// Prices a memo miss of `kind` for `w` on `slot`.
+    fn miss(&mut self, slot: usize, w: &Workload, kind: Miss) -> StepCost {
+        self.build_e2e(slot);
+        let e2e = self.e2e[self.slot_shards[slot]].as_ref();
+        price_miss(&self.chip_cfgs[slot], e2e, w, kind)
     }
 }
 
-/// One pre-pricing work item: which cost to compute for which exemplar
-/// on which chip slot.
+/// Which step cost a memo miss (or a pre-pricing work item) computes.
 #[derive(Clone, Copy)]
-enum WarmKind {
-    /// `prefill_on` at the exemplar's own `seq_len`.
+enum Miss {
+    /// `prefill_on` at the workload's own `seq_len`.
     Prefill,
     /// `decode_on` at bucket index `idx` (context `idx * CTX_BUCKET`).
     Decode(usize),
 }
 
-/// Computes one warm item exactly the way the memoized miss path would:
-/// same representative workload, same core-model call, same e2e FC
-/// addition — so a pre-priced entry is indistinguishable from one the
-/// simulation would have computed on demand.
-fn warm_eval(
-    cfg: &SpAttenConfig,
-    e2e: Option<&SpAttenE2e>,
-    w: &Workload,
-    kind: WarmKind,
-) -> StepCost {
+/// The one cycle-model evaluation behind every memoized step cost: the
+/// core model on a seed-normalized representative, plus the e2e FC cost
+/// when the oracle is end-to-end. The lazy miss path and the pre-warm
+/// both price through this, so a pre-priced entry is indistinguishable
+/// from one the simulation would have computed on demand.
+fn price_miss(cfg: &SpAttenConfig, e2e: Option<&SpAttenE2e>, w: &Workload, kind: Miss) -> StepCost {
     match kind {
-        WarmKind::Prefill => {
+        Miss::Prefill => {
             let rep = representative(w, w.seq_len);
             let mut cost = prefill_cost(cfg, &rep);
             if let Some(e) = e2e {
@@ -584,7 +599,7 @@ fn warm_eval(
             }
             cost
         }
-        WarmKind::Decode(idx) => {
+        Miss::Decode(idx) => {
             let bucket = idx * CTX_BUCKET;
             let rep = representative(w, bucket);
             let mut cost = decode_step_cost(cfg, &rep, bucket);
@@ -604,11 +619,7 @@ impl FleetCost for CostModel {
         if let Some(c) = memo_get(&self.shards[shard].prefill, class, w.seq_len) {
             return c;
         }
-        let rep = representative(w, w.seq_len);
-        let mut cost = prefill_cost(&self.chip_cfgs[slot], &rep);
-        if let Some(e2e) = self.e2e_for(slot) {
-            cost.add(e2e.fc_prefill_cost(&rep));
-        }
+        let cost = self.miss(slot, w, Miss::Prefill);
         memo_put(&mut self.shards[shard].prefill, class, w.seq_len, cost);
         cost
     }
@@ -682,13 +693,7 @@ impl FleetCost for CostModel {
         // only built the KV it has seen), and unclamped: an oversized job
         // streams its whole working set through HBM even though it only
         // ever holds a budget's worth resident.
-        let bytes = kv_working_set_bytes(cfg, w, bucket);
-        // Aggregate HBM bandwidth in core cycles: `channels ×
-        // bytes_per_cycle` per HBM cycle, rescaled across the clock
-        // domains the way the fleet event queue ticks (core cycles).
-        let per_hbm_cycle = (cfg.hbm.channels as u64 * cfg.hbm.bytes_per_cycle).max(1);
-        let hbm_cycles = bytes.div_ceil(per_hbm_cycle);
-        let cycles = (hbm_cycles as f64 * cfg.clock_ghz / cfg.hbm.clock_ghz).ceil() as u64;
+        let cycles = hbm_stream_cycles(cfg, kv_working_set_bytes(cfg, w, bucket));
         memo_put(&mut self.shards[shard].swap, class, idx, cycles);
         cycles
     }
@@ -697,28 +702,14 @@ impl FleetCost for CostModel {
         if tokens == 0 {
             return 0;
         }
-        // Planning peak of a `tokens`-token context: the largest survivor
-        // set any *pruned* cascade stage holds. Entry layers that have
-        // not pruned yet stream their full attention through scratch and
-        // never land in the paged KV pool, so the pool's transient peak
-        // is the cascade's entry stage — bigger than the deepest-layer
-        // working set `footprint_on` prices, and retired down to it as
-        // decode steps accumulate importance evidence. Falls back to the
-        // full token count when no stage prunes (cascade off).
         let slot = self.slot(chip);
         let shard = self.slot_shards[slot];
         let class = self.classes.id(w);
         if let Some(b) = memo_get(&self.shards[shard].raw, class, tokens) {
             return b;
         }
-        let cfg = &self.chip_cfgs[slot];
-        let peak = (0..w.model.layers)
-            .map(|l| surviving_tokens(cfg, w, l, tokens))
-            .filter(|&s| s < tokens)
-            .max()
-            .unwrap_or(tokens);
-        let bits = u64::from(w.quant.scheme.msb_bits());
-        let bytes = peak as u64 * 2 * (w.model.hidden as u64 * bits).div_ceil(8);
+        let peak = peak_survivors(&self.chip_cfgs[slot], w, 0..w.model.layers, tokens);
+        let bytes = kv_plane_bytes(w, peak, w.model.hidden as u64);
         memo_put(&mut self.shards[shard].raw, class, tokens, bytes);
         bytes
     }
@@ -727,12 +718,7 @@ impl FleetCost for CostModel {
         if bytes == 0 {
             return 0;
         }
-        // Same aggregate-HBM-bandwidth pricing as `swap_cycles_on`, for a
-        // caller-supplied byte count (a victim's unique pages).
-        let cfg = &self.chip_cfgs[self.slot(chip)];
-        let per_hbm_cycle = (cfg.hbm.channels as u64 * cfg.hbm.bytes_per_cycle).max(1);
-        let hbm_cycles = bytes.div_ceil(per_hbm_cycle);
-        (hbm_cycles as f64 * cfg.clock_ghz / cfg.hbm.clock_ghz).ceil() as u64
+        hbm_stream_cycles(&self.chip_cfgs[self.slot(chip)], bytes)
     }
 
     fn weight_load_cycles_on(&mut self, chip: usize, w: &Workload) -> u64 {
@@ -781,83 +767,52 @@ impl FleetCost for CostModel {
                     .expect("every shard has a slot")
             })
             .collect();
-        let mut items: Vec<(usize, usize, WarmKind)> = Vec::new();
+        let mut items: Vec<(usize, usize, Miss)> = Vec::new();
         let mut prefill_seen: HashSet<(usize, usize, usize)> = HashSet::new();
         let mut decode_seen: HashSet<(usize, usize, usize)> = HashSet::new();
         for (ex, w) in exemplars.iter().enumerate() {
             let class = exemplar_class[ex];
             for &slot in &rep_slots {
                 if prefill_seen.insert((slot, class, w.seq_len)) {
-                    items.push((slot, ex, WarmKind::Prefill));
+                    items.push((slot, ex, Miss::Prefill));
                 }
                 for step in 0..=w.gen_steps {
                     let idx = (w.seq_len + step).max(1).div_ceil(CTX_BUCKET);
                     if decode_seen.insert((slot, class, idx)) {
-                        items.push((slot, ex, WarmKind::Decode(idx)));
+                        items.push((slot, ex, Miss::Decode(idx)));
                     }
                 }
             }
         }
-        // Pass 3: price the grid. Workers take strided item slices; each
-        // builds its own e2e FC model per shard on first use. Results
-        // are keyed by item index, so the merge below is independent of
-        // worker scheduling — and the values are pure functions of the
-        // key, so even a different item partition yields the same memo.
+        // Pass 3: price the grid. Worker `t` takes every `threads`-th
+        // item from `t`, inline when there is one worker and on scoped
+        // threads otherwise; all share the oracle's e2e FC models.
+        // Results are keyed by item index, so the merge below is
+        // independent of worker scheduling — and the values are pure
+        // functions of the key, so even a different item partition
+        // yields the same memo.
+        for &slot in &rep_slots {
+            self.build_e2e(slot);
+        }
         let threads = threads.max(1).min(items.len().max(1));
-        let results: Vec<(usize, StepCost)> = if threads <= 1 {
-            let mut e2e: Vec<Option<SpAttenE2e>> = (0..self.shards.len()).map(|_| None).collect();
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, &(slot, ex, kind))| {
-                    let shard = self.slot_shards[slot];
-                    if let (Some(bits), None) = (self.fc_weight_bits, e2e[shard].as_ref()) {
-                        e2e[shard] = Some(SpAttenE2e::new(self.chip_cfgs[slot], bits));
-                    }
-                    (
-                        i,
-                        warm_eval(
-                            &self.chip_cfgs[slot],
-                            e2e[shard].as_ref(),
-                            &exemplars[ex],
-                            kind,
-                        ),
-                    )
+        let (items, exemplars) = (&items, &exemplars);
+        let (chip_cfgs, slot_shards, e2e) = (&self.chip_cfgs, &self.slot_shards, &self.e2e);
+        let worker = move |t: usize| -> Vec<(usize, StepCost)> {
+            (t..items.len())
+                .step_by(threads)
+                .map(|i| {
+                    let (slot, ex, kind) = items[i];
+                    let e2e = e2e[slot_shards[slot]].as_ref();
+                    (i, price_miss(&chip_cfgs[slot], e2e, &exemplars[ex], kind))
                 })
                 .collect()
+        };
+        let results: Vec<(usize, StepCost)> = if threads == 1 {
+            worker(0)
         } else {
-            let items = &items;
-            let exemplars = &exemplars;
-            let chip_cfgs = &self.chip_cfgs;
-            let slot_shards = &self.slot_shards;
-            let bits = self.fc_weight_bits;
-            let shards = self.shards.len();
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut e2e: Vec<Option<SpAttenE2e>> =
-                                (0..shards).map(|_| None).collect();
-                            let mut out = Vec::new();
-                            for i in (t..items.len()).step_by(threads) {
-                                let (slot, ex, kind) = items[i];
-                                let shard = slot_shards[slot];
-                                if let (Some(b), None) = (bits, e2e[shard].as_ref()) {
-                                    e2e[shard] = Some(SpAttenE2e::new(chip_cfgs[slot], b));
-                                }
-                                out.push((
-                                    i,
-                                    warm_eval(
-                                        &chip_cfgs[slot],
-                                        e2e[shard].as_ref(),
-                                        &exemplars[ex],
-                                        kind,
-                                    ),
-                                ));
-                            }
-                            out
-                        })
-                    })
+                    .map(|t| scope.spawn(move || worker(t)))
                     .collect();
                 handles
                     .into_iter()
@@ -873,13 +828,13 @@ impl FleetCost for CostModel {
             let shard = self.slot_shards[slot];
             let class = self.classes.id(&exemplars[ex]);
             match kind {
-                WarmKind::Prefill => memo_put(
+                Miss::Prefill => memo_put(
                     &mut self.shards[shard].prefill,
                     class,
                     exemplars[ex].seq_len,
                     cost,
                 ),
-                WarmKind::Decode(idx) => memo_put(&mut self.shards[shard].decode, class, idx, cost),
+                Miss::Decode(idx) => memo_put(&mut self.shards[shard].decode, class, idx, cost),
             }
         }
     }

@@ -41,8 +41,7 @@
 use crate::cost::FleetCost;
 use crate::request::Job;
 use crate::route::{ChipLoad, RoutingPolicy};
-use spatten_workloads::fleet::{FleetSpec, LinkSpec, PoolRole, TopologySpec};
-use spatten_workloads::{Trace, Workload};
+use spatten_workloads::fleet::{LinkSpec, PoolRole, TopologySpec};
 
 /// Which chips belong to which pool, and how the pools are wired.
 ///
@@ -91,64 +90,6 @@ impl PoolSpec {
         let mut roles = vec![PoolRole::Prefill; prefill];
         roles.extend(std::iter::repeat_n(PoolRole::Decode, decode));
         Self::new(roles, TopologySpec::FullyConnected, LinkSpec::default())
-    }
-
-    /// Picks the prefill/decode split for a `chips`-chip fleet from the
-    /// observed prefill:decode cycle ratio of `trace`, priced through
-    /// `cost` (chip 0 is the probe — pool sizing assumes the pools run
-    /// on comparable hardware). A long-prompt/short-generation chat mix
-    /// is prefill-heavy and gets most of the fleet as prefill
-    /// specialists; a generation-heavy mix tilts the other way. Both
-    /// pools always keep at least one chip, so the spec is valid for
-    /// any non-degenerate trace; an empty trace splits evenly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips < 2` — a split needs a chip for each pool.
-    pub fn auto_split<C: FleetCost>(cost: &mut C, trace: &Trace, chips: usize) -> Self {
-        assert!(chips >= 2, "auto_split needs at least two chips");
-        let mut prefill_cycles: u128 = 0;
-        let mut decode_cycles: u128 = 0;
-        let mut tally = |cost: &mut C, w: &Workload| {
-            let prefill = cost.prefill_on(0, w).serial_cycles;
-            let total = cost.job_serial_on(0, w);
-            prefill_cycles += u128::from(prefill);
-            decode_cycles += u128::from(total.saturating_sub(prefill));
-        };
-        match trace {
-            Trace::Open { requests } => {
-                for r in requests {
-                    tally(cost, &r.workload);
-                }
-            }
-            Trace::Closed { clients, .. } => {
-                for r in clients.iter().flatten() {
-                    tally(cost, &r.workload);
-                }
-            }
-        }
-        let total = prefill_cycles + decode_cycles;
-        let frac = if total == 0 {
-            0.5
-        } else {
-            prefill_cycles as f64 / total as f64
-        };
-        let prefill = ((chips as f64 * frac).round() as usize).clamp(1, chips - 1);
-        Self::split(prefill, chips - prefill)
-    }
-
-    /// The pool layout a [`FleetSpec`] declares, `None` when it declares
-    /// no roles (co-located).
-    pub fn from_fleet(fleet: &FleetSpec) -> Option<Self> {
-        let roles = fleet.roles.clone()?;
-        assert_eq!(
-            roles.len(),
-            fleet.chips.len(),
-            "fleet declares {} roles for {} chips",
-            roles.len(),
-            fleet.chips.len()
-        );
-        Some(Self::new(roles, fleet.topology, fleet.link))
     }
 
     /// Chips in the spec.
@@ -307,85 +248,5 @@ mod tests {
             TopologySpec::Ring,
             LinkSpec::default(),
         );
-    }
-
-    #[test]
-    fn auto_split_follows_the_observed_phase_ratio() {
-        use crate::cost::CostModel;
-        use spatten_core::SpAttenConfig;
-        use spatten_workloads::{ArrivalSpec, Benchmark, RequestClass, Trace, TraceSpec};
-        let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
-        // The disagg chat mix (long prompts, short generations) is
-        // prefill-heavy: most of the fleet goes to the prefill pool.
-        let arrival = ArrivalSpec::OpenPoisson {
-            rate_rps: 2000.0,
-            requests: 64,
-        };
-        let chat = TraceSpec::disagg_chat(arrival, 17).generate();
-        let spec = PoolSpec::auto_split(&mut cost, &chat, 6);
-        assert_eq!(spec.len(), 6);
-        let prefill = spec
-            .roles
-            .iter()
-            .filter(|r| **r == PoolRole::Prefill)
-            .count();
-        let decode = spec
-            .roles
-            .iter()
-            .filter(|r| **r == PoolRole::Decode)
-            .count();
-        assert_eq!(prefill + decode, 6, "auto_split emits specialists only");
-        assert!(
-            prefill > decode,
-            "long-prompt/short-generation mix must be prefill-heavy, got {prefill}p/{decode}d"
-        );
-        // A generation-heavy mix tilts the other way — and however
-        // extreme the ratio, both pools keep at least one chip.
-        let gen_heavy = TraceSpec {
-            classes: vec![RequestClass::gpt2(
-                &Benchmark::gpt2_small_wikitext2(),
-                (16, 32),
-                (384, 512),
-                1.0,
-            )],
-            arrival,
-            seed: 17,
-            fleet: None,
-        }
-        .generate();
-        let spec = PoolSpec::auto_split(&mut cost, &gen_heavy, 6);
-        let prefill = spec
-            .roles
-            .iter()
-            .filter(|r| **r == PoolRole::Prefill)
-            .count();
-        assert_eq!(
-            prefill, 1,
-            "generation-heavy mix keeps exactly the floor prefill chip"
-        );
-        // An empty trace has no observed ratio: split evenly.
-        let spec = PoolSpec::auto_split(&mut cost, &Trace::Open { requests: vec![] }, 6);
-        let prefill = spec
-            .roles
-            .iter()
-            .filter(|r| **r == PoolRole::Prefill)
-            .count();
-        assert_eq!(prefill, 3);
-    }
-
-    #[test]
-    fn from_fleet_mirrors_declared_roles() {
-        let mut fleet = spatten_workloads::FleetSpec::ring_of(4);
-        assert!(PoolSpec::from_fleet(&fleet).is_none());
-        fleet.roles = Some(vec![
-            PoolRole::Prefill,
-            PoolRole::Prefill,
-            PoolRole::Decode,
-            PoolRole::Decode,
-        ]);
-        let spec = PoolSpec::from_fleet(&fleet).expect("roles declared");
-        assert_eq!(spec.len(), 4);
-        assert_eq!(spec.role(2), PoolRole::Decode);
-        assert_eq!(spec.topology, TopologySpec::Ring);
     }
 }

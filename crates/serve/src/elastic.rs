@@ -38,7 +38,6 @@
 
 use spatten_core::SpAttenConfig;
 use spatten_nn::ModelConfig;
-use spatten_workloads::fleet::{ChipClass, ElasticitySpec, LeaveKind};
 
 use crate::route::ChipLoad;
 
@@ -182,49 +181,7 @@ pub struct ElasticSpec {
     pub models: Option<Vec<ModelConfig>>,
 }
 
-fn resolve_class(class: ChipClass) -> SpAttenConfig {
-    match class {
-        ChipClass::Full => SpAttenConfig::default(),
-        ChipClass::Eighth => SpAttenConfig::eighth(),
-    }
-}
-
 impl ElasticSpec {
-    /// Resolves a descriptive trace-side scenario
-    /// ([`spatten_workloads::ElasticitySpec`]) into concrete chip
-    /// configurations and event modes.
-    pub fn from_fleet(spec: &ElasticitySpec) -> Self {
-        let leaves = spec
-            .leaves
-            .iter()
-            .map(|l| ChipLeave {
-                chip: l.chip,
-                at_ns: l.at_ns,
-                mode: match l.kind {
-                    LeaveKind::Drain => LeaveMode::Drain,
-                    LeaveKind::Revoke { grace_ns } => LeaveMode::Revoke { grace_ns },
-                },
-            })
-            .collect();
-        let joins = spec
-            .joins
-            .iter()
-            .map(|j| ChipJoin {
-                chip_config: resolve_class(j.chip_class),
-                at_ns: j.at_ns,
-            })
-            .collect();
-        Self {
-            events: FleetEvents { leaves, joins },
-            reserve: spec.reserve.iter().map(|&c| resolve_class(c)).collect(),
-            autoscale: spec.autoscale_window_ns.map(|window_ns| AutoscaleSpec {
-                window_ns,
-                ..AutoscaleSpec::default()
-            }),
-            models: None,
-        }
-    }
-
     /// Extra roster configurations this scenario appends after the
     /// `base` chips: scheduled joins first, then the reserve.
     pub fn extra_configs(&self) -> Vec<SpAttenConfig> {

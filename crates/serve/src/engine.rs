@@ -1749,6 +1749,12 @@ mod tests {
         fn swap_cycles_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
             self.inner.swap_cycles_on(chip, w, tokens)
         }
+        fn raw_kv_bytes_on(&mut self, chip: usize, w: &Workload, tokens: usize) -> u64 {
+            self.inner.raw_kv_bytes_on(chip, w, tokens)
+        }
+        fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64 {
+            self.inner.swap_bytes_cycles_on(chip, w, bytes)
+        }
         fn prewarm(&mut self, jobs: &mut dyn Iterator<Item = &Workload>, threads: usize) {
             self.prewarms.set(self.prewarms.get() + 1);
             self.inner.prewarm(jobs, threads);

@@ -6,7 +6,8 @@
 //! escaping, integers, and finite floats. The matching [`parse`] half
 //! exists for the live front-end (`spatten-frontd`), whose request bodies
 //! arrive as small JSON objects; it accepts the full JSON grammar minus
-//! `\u` surrogate pairs, which nothing in the serving path emits.
+//! `\u` surrogate pairs, which nothing in the serving path emits, and
+//! nesting deeper than [`MAX_DEPTH`].
 
 use std::fmt::Write;
 
@@ -176,13 +177,18 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so without a bound a small hostile
+/// body (20 KB of `[`) overflows the calling thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 /// Errors are position-stamped human-readable strings — the front-end
 /// echoes them verbatim into 400 responses.
 pub fn parse(s: &str) -> Result<JsonValue, String> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -206,10 +212,14 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits `depth` arrays or objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -220,12 +230,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     JsonValue::Str(k) => k,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
                 expect(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
+                fields.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -246,7 +256,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -302,6 +312,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'u' => {
                         let hex = b
                             .get(*pos..*pos + 4)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
                         let code = u32::from_str_radix(hex, 16)
@@ -316,12 +327,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&b[*pos..]).expect("input was a str");
-                let c = rest.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a scalar boundary of the input
+                // (a &str, so valid UTF-8 by construction).
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).expect("input was a str"));
             }
         }
     }
@@ -398,6 +411,7 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_documents() {
+        let deep = "[".repeat(20_000);
         for bad in [
             "",
             "{",
@@ -409,9 +423,17 @@ mod tests {
             "{1: 2}",
             "nul",
             "1e999",
+            // `u32::from_str_radix` alone would read this as `A`.
+            "\"\\u+041\"",
+            // Deeper than `MAX_DEPTH`; unbounded recursion would
+            // overflow the test thread's stack instead of failing.
+            deep.as_str(),
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -120,7 +120,8 @@ pub use batch::{
     BatchPolicy, DecodePrioritizedBatch, IterationBatch, ResidentView, RoundStep, RunToCompletion,
 };
 pub use cost::{
-    model_weight_bytes, representative, CfgKey, ClassKey, CostModel, FleetCost, CTX_BUCKET,
+    hbm_stream_cycles, kv_plane_bytes, model_weight_bytes, peak_survivors, representative, CfgKey,
+    ClassKey, CostModel, FleetCost, CTX_BUCKET,
 };
 pub use disagg::{PoolAwareRouting, PoolSpec};
 pub use elastic::{

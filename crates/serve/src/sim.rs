@@ -1162,7 +1162,7 @@ mod tests {
         };
         let serial = simulate_fleet(&build(SimMode::Serial), &trace);
         assert!(serial.completions.iter().any(|c| c.revoked));
-        for threads in 2..9 {
+        for threads in 1..9 {
             let parallel = simulate_fleet(&build(SimMode::ParallelRounds { threads }), &trace);
             assert_eq!(
                 serial.completions, parallel.completions,

@@ -1,12 +1,15 @@
 //! Fleet and interconnect topology descriptions for cluster-level serving.
 //!
-//! A [`FleetSpec`] describes the *hardware side* of a serving scenario the
-//! same way [`TraceSpec`](crate::trace::TraceSpec) describes the traffic
-//! side: which chips exist (full Table-I parts next to 1/8-scale ones) and
-//! how they are wired. It is deliberately descriptive — plain chip classes
-//! rather than `SpAttenConfig` values — so traces stay self-contained,
-//! without depending on the accelerator model; the cluster
-//! layer (`spatten-cluster`) resolves classes to concrete configurations.
+//! A [`FleetSpec`] describes the *hardware side* of a cluster scenario:
+//! which chips exist (full Table-I parts next to 1/8-scale ones) and how
+//! they are wired. It is deliberately descriptive — plain chip classes
+//! rather than `SpAttenConfig` values — so this crate stays independent
+//! of the accelerator model; the cluster layer (`spatten-cluster`)
+//! resolves classes to concrete configurations. Pool roles and fleet
+//! elasticity are described once, by the serving layer
+//! (`spatten-serve`'s `PoolSpec` and `ElasticSpec`); [`PoolRole`],
+//! [`TopologySpec`] and [`LinkSpec`] live here so that both layers share
+//! them.
 
 /// A chip class in a (possibly heterogeneous) fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,59 +82,6 @@ impl Default for LinkSpec {
     }
 }
 
-/// How a scheduled chip departure takes the chip out of service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaveKind {
-    /// Maintenance drain: the chip stops accepting new work and serves
-    /// its residents to completion before going offline.
-    Drain,
-    /// Spot-style revocation: residents are preempted (KV swapped out,
-    /// jobs requeued elsewhere) within the grace window.
-    Revoke {
-        /// Nanoseconds of notice between the leave and the hard cutoff.
-        grace_ns: u64,
-    },
-}
-
-/// One scheduled departure in an elasticity scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaveSpec {
-    /// Index of the departing chip in the fleet inventory.
-    pub chip: usize,
-    /// Departure time, nanoseconds from trace start.
-    pub at_ns: u64,
-    /// Drain or revoke.
-    pub kind: LeaveKind,
-}
-
-/// One scheduled cold join in an elasticity scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinSpec {
-    /// Class of the joining chip (appended after the base inventory).
-    pub chip_class: ChipClass,
-    /// Join time, nanoseconds from trace start; the chip comes online
-    /// after this plus its weight-load delay.
-    pub at_ns: u64,
-}
-
-/// The elasticity side of a serving scenario: scheduled joins/leaves plus
-/// an autoscaler-managed reserve. Descriptive, like the rest of the
-/// fleet spec — the serving layer resolves classes to configurations and
-/// prices the weight-load delays.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ElasticitySpec {
-    /// Scheduled departures of inventory chips.
-    pub leaves: Vec<LeaveSpec>,
-    /// Scheduled cold joins (chips appended after the base inventory).
-    pub joins: Vec<JoinSpec>,
-    /// Reserve chips the autoscaler may bring up or drain; they start
-    /// offline and are appended after the base inventory and joins.
-    pub reserve: Vec<ChipClass>,
-    /// Autoscaler observation window in nanoseconds (`None` = no
-    /// autoscaler; the reserve, if any, stays cold).
-    pub autoscale_window_ns: Option<u64>,
-}
-
 /// The hardware side of a cluster serving scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
@@ -141,13 +91,6 @@ pub struct FleetSpec {
     pub topology: TopologySpec,
     /// Link timing.
     pub link: LinkSpec,
-    /// Per-chip pool roles, parallel to `chips`. `None` (the default for
-    /// every pre-disaggregation trace) means all-`Flex` — co-located
-    /// serving with no migration.
-    pub roles: Option<Vec<PoolRole>>,
-    /// Elasticity scenario riding along with the fleet. `None` (the
-    /// default for every pre-elasticity trace) means a fixed fleet.
-    pub elastic: Option<ElasticitySpec>,
 }
 
 impl FleetSpec {
@@ -157,8 +100,6 @@ impl FleetSpec {
             chips: vec![ChipClass::Full; n],
             topology: TopologySpec::Ring,
             link: LinkSpec::default(),
-            roles: None,
-            elastic: None,
         }
     }
 
@@ -171,30 +112,7 @@ impl FleetSpec {
             chips,
             topology: TopologySpec::FullyConnected,
             link: LinkSpec::default(),
-            roles: None,
-            elastic: None,
         }
-    }
-
-    /// A disaggregated fleet: `prefill` full chips feeding `decode` full
-    /// chips over a fully connected fabric with default links.
-    pub fn disagg(prefill: usize, decode: usize) -> Self {
-        let mut roles = vec![PoolRole::Prefill; prefill];
-        roles.extend(std::iter::repeat_n(PoolRole::Decode, decode));
-        Self {
-            chips: vec![ChipClass::Full; prefill + decode],
-            topology: TopologySpec::FullyConnected,
-            link: LinkSpec::default(),
-            roles: Some(roles),
-            elastic: None,
-        }
-    }
-
-    /// Per-chip roles, defaulting to all-`Flex` when none were declared.
-    pub fn roles_or_flex(&self) -> Vec<PoolRole> {
-        self.roles
-            .clone()
-            .unwrap_or_else(|| vec![PoolRole::Flex; self.chips.len()])
     }
 
     /// Chips in the fleet.
@@ -230,19 +148,6 @@ mod tests {
             6
         );
         assert!(!mixed.is_empty());
-    }
-
-    #[test]
-    fn disagg_constructor_assigns_roles_and_default_is_flex() {
-        let d = FleetSpec::disagg(2, 3);
-        assert_eq!(d.len(), 5);
-        let roles = d.roles_or_flex();
-        assert_eq!(roles.iter().filter(|r| **r == PoolRole::Prefill).count(), 2);
-        assert_eq!(roles.iter().filter(|r| **r == PoolRole::Decode).count(), 3);
-        // Pre-disaggregation constructors stay role-free (co-located).
-        let ring = FleetSpec::ring_of(4);
-        assert!(ring.roles.is_none());
-        assert!(ring.roles_or_flex().iter().all(|r| *r == PoolRole::Flex));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   `spatten-serve`.
 //! * [`fleet`] — fleet/topology descriptions ([`FleetSpec`]): chip
 //!   classes and interconnect shape for cluster scenarios
-//!   (`spatten-cluster`).
+//!   (`spatten-cluster`), plus the pool-role and link vocabulary that
+//!   `spatten-serve`'s pool and elasticity specs build on.
 
 pub mod fleet;
 pub mod registry;
@@ -30,10 +31,7 @@ pub mod synth;
 pub mod text;
 pub mod trace;
 
-pub use fleet::{
-    ChipClass, ElasticitySpec, FleetSpec, JoinSpec, LeaveKind, LeaveSpec, LinkSpec, PoolRole,
-    TopologySpec,
-};
+pub use fleet::{ChipClass, FleetSpec, LinkSpec, PoolRole, TopologySpec};
 pub use registry::{Benchmark, TaskKind};
 pub use spec::{PruningSpec, QuantPolicy, Workload};
 pub use synth::{synthetic_probs, zipf_tokens};

@@ -134,8 +134,18 @@ impl RequestClass {
         self
     }
 
-    fn slo_ns(&self) -> Option<u64> {
-        self.slo_latency_s.map(|s| (s * 1e9) as u64)
+    /// Request `id`, of this class (index `class` in its spec), arriving
+    /// at `arrival_ns` with `workload`.
+    fn request(&self, id: u64, class: usize, arrival_ns: u64, workload: Workload) -> TraceRequest {
+        TraceRequest {
+            id,
+            class,
+            arrival_ns,
+            slo_ns: self.slo_latency_s.map(|s| (s * 1e9) as u64),
+            priority: self.priority,
+            shared_prefix_tokens: self.shared_prefix_tokens.min(workload.seq_len),
+            workload,
+        }
     }
 
     fn instantiate(&self, rng: &mut StdRng, id: u64) -> Workload {
@@ -374,15 +384,21 @@ impl TraceSpec {
         );
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xC0FFEE);
 
-        let pick_class = |rng: &mut StdRng| -> usize {
+        // Request `id` arriving at `arrival_ns`: a class pick, then the
+        // class's length draws. Every arrival process draws its
+        // inter-arrival time first, so that order holds trace-wide.
+        let draw = |rng: &mut StdRng, id: u64, arrival_ns: u64| -> TraceRequest {
             let mut x = rng.gen::<f64>() * total_weight;
-            for (i, c) in self.classes.iter().enumerate() {
-                x -= c.weight;
-                if x <= 0.0 {
-                    return i;
-                }
-            }
-            self.classes.len() - 1
+            let class = self
+                .classes
+                .iter()
+                .position(|c| {
+                    x -= c.weight;
+                    x <= 0.0
+                })
+                .unwrap_or(self.classes.len() - 1);
+            let c = &self.classes[class];
+            c.request(id, class, arrival_ns, c.instantiate(rng, id))
         };
 
         match self.arrival {
@@ -395,19 +411,7 @@ impl TraceSpec {
                     // Exponential inter-arrival via inverse CDF.
                     let u: f64 = rng.gen::<f64>().max(1e-12);
                     t_ns += -u.ln() / rate_rps * 1e9;
-                    let class = pick_class(&mut rng);
-                    let workload = self.classes[class].instantiate(&mut rng, id);
-                    reqs.push(TraceRequest {
-                        id,
-                        class,
-                        arrival_ns: t_ns as u64,
-                        slo_ns: self.classes[class].slo_ns(),
-                        priority: self.classes[class].priority,
-                        shared_prefix_tokens: self.classes[class]
-                            .shared_prefix_tokens
-                            .min(workload.seq_len),
-                        workload,
-                    });
+                    reqs.push(draw(&mut rng, id, t_ns as u64));
                 }
                 Trace::Open { requests: reqs }
             }
@@ -450,19 +454,7 @@ impl TraceSpec {
                         continue;
                     }
                     t_ns += gap_ns;
-                    let class = pick_class(&mut rng);
-                    let workload = self.classes[class].instantiate(&mut rng, id);
-                    reqs.push(TraceRequest {
-                        id,
-                        class,
-                        arrival_ns: t_ns as u64,
-                        slo_ns: self.classes[class].slo_ns(),
-                        priority: self.classes[class].priority,
-                        shared_prefix_tokens: self.classes[class]
-                            .shared_prefix_tokens
-                            .min(workload.seq_len),
-                        workload,
-                    });
+                    reqs.push(draw(&mut rng, id, t_ns as u64));
                     id += 1;
                 }
                 Trace::Open { requests: reqs }
@@ -497,19 +489,7 @@ impl TraceSpec {
                     if rng.gen::<f64>() * peak > rate {
                         continue;
                     }
-                    let class = pick_class(&mut rng);
-                    let workload = self.classes[class].instantiate(&mut rng, id);
-                    reqs.push(TraceRequest {
-                        id,
-                        class,
-                        arrival_ns: t_ns as u64,
-                        slo_ns: self.classes[class].slo_ns(),
-                        priority: self.classes[class].priority,
-                        shared_prefix_tokens: self.classes[class]
-                            .shared_prefix_tokens
-                            .min(workload.seq_len),
-                        workload,
-                    });
+                    reqs.push(draw(&mut rng, id, t_ns as u64));
                     id += 1;
                 }
                 Trace::Open { requests: reqs }
@@ -527,19 +507,8 @@ impl TraceSpec {
                 let mut per_client: Vec<Vec<TraceRequest>> =
                     (0..clients).map(|_| Vec::new()).collect();
                 for id in 0..requests as u64 {
-                    let class = pick_class(&mut rng);
-                    let workload = self.classes[class].instantiate(&mut rng, id);
-                    per_client[(id as usize) % clients].push(TraceRequest {
-                        id,
-                        class,
-                        arrival_ns: 0, // assigned live by the simulator
-                        slo_ns: self.classes[class].slo_ns(),
-                        priority: self.classes[class].priority,
-                        shared_prefix_tokens: self.classes[class]
-                            .shared_prefix_tokens
-                            .min(workload.seq_len),
-                        workload,
-                    });
+                    // Arrival times are assigned live by the simulator.
+                    per_client[(id as usize) % clients].push(draw(&mut rng, id, 0));
                 }
                 Trace::Closed {
                     clients: per_client,
@@ -637,15 +606,7 @@ impl TraceSpec {
                     seed: c.template.seed ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15),
                     ..c.template.clone()
                 };
-                TraceRequest {
-                    id: id as u64,
-                    class,
-                    arrival_ns,
-                    slo_ns: c.slo_ns(),
-                    priority: c.priority,
-                    shared_prefix_tokens: c.shared_prefix_tokens.min(seq_len),
-                    workload,
-                }
+                c.request(id as u64, class, arrival_ns, workload)
             })
             .collect();
         Trace::Open { requests }
@@ -1104,38 +1065,5 @@ mod tests {
         );
         // Fleet metadata never perturbs the generated request stream.
         assert_eq!(spec.generate(), open_spec(10, 1).generate());
-    }
-
-    #[test]
-    fn elasticity_spec_rides_along_without_perturbing_draws() {
-        use crate::fleet::{ChipClass, ElasticitySpec, FleetSpec, JoinSpec, LeaveKind, LeaveSpec};
-        let mut fleet = FleetSpec::mixed(2, 1);
-        fleet.elastic = Some(ElasticitySpec {
-            leaves: vec![LeaveSpec {
-                chip: 1,
-                at_ns: 20_000_000,
-                kind: LeaveKind::Revoke {
-                    grace_ns: 1_000_000,
-                },
-            }],
-            joins: vec![JoinSpec {
-                chip_class: ChipClass::Eighth,
-                at_ns: 5_000_000,
-            }],
-            reserve: vec![ChipClass::Full],
-            autoscale_window_ns: Some(1_000_000),
-        });
-        let spec = open_spec(40, 7).with_fleet(fleet);
-        let elastic = spec
-            .fleet
-            .as_ref()
-            .and_then(|f| f.elastic.as_ref())
-            .expect("elasticity attached");
-        assert_eq!(elastic.leaves.len(), 1);
-        assert_eq!(elastic.joins.len(), 1);
-        // Elasticity is descriptive metadata: it consumes no RNG draws,
-        // so the request stream is bit-identical to the fixed-fleet
-        // trace (the fault-free-twin property harness rides on this).
-        assert_eq!(spec.generate(), open_spec(40, 7).generate());
     }
 }
