@@ -1,8 +1,8 @@
 //! # spatten-frontd — a live HTTP front-end over the fleet simulator
 //!
-//! Everything below this crate is trace-driven: a
-//! [`FleetEngine`](spatten_serve::FleetEngine) replays pre-drawn
-//! arrivals through virtual time and reports a post-mortem.
+//! Everything below this crate is trace-driven: a [`FleetEngine`]
+//! replays pre-drawn arrivals through virtual time and reports a
+//! post-mortem.
 //! This crate turns that same engine into a **live server**: a
 //! hand-rolled thread-per-core `std::net` HTTP front-end whose requests
 //! arrive on the wall clock, get mapped onto virtual cycles through a
@@ -22,7 +22,8 @@
 //!                    engine thread ◀──────────┤ cycles = vns × GHz    │
 //!                    owns FleetEngine          └───────────────────────┘
 //!                      inject(request)  ◀─ Submit
-//!                      step_until(bridge now)  every ≤1 ms
+//!                      step_until(bridge now)  on each command, and at
+//!                        the wall instant of the next engine event
 //!                         │ TokenSink events (tokens / rejection)
 //!                         ▼
 //!                    per-request mpsc stream ──▶ chunked HTTP response
@@ -30,22 +31,29 @@
 //!
 //! One thread owns the engine; acceptor threads never touch it. A
 //! `Submit` injects the request at the bridge's current virtual time and
-//! hands back a private stream channel; the engine thread then keeps
-//! stepping virtual time forward to chase the wall clock, and the
-//! installed [`TokenSink`] forwards every retired token to the right
-//! stream as it happens. The handler holds the HTTP status line until
-//! the admission verdict: the first stream event after acceptance is
-//! either tokens (→ `200` + chunked body) or an SLO rejection (→ `429`).
+//! hands back a private stream channel. Between commands the engine
+//! thread sleeps until the wall instant the bridge maps the engine's
+//! next event to ([`FleetEngine::next_event_time`]), then steps virtual
+//! time up to the wall clock, and the installed [`TokenSink`] forwards
+//! every retired token to the right stream as it happens. With no event
+//! pending it sleeps until the next command, and acceptors block in
+//! `accept`: nothing polls, so an idle server uses no CPU. The handler
+//! holds the HTTP status line until the admission verdict: the first
+//! stream event after acceptance is either tokens (→ `200` + chunked
+//! body) or an SLO rejection (→ `429`).
 //!
 //! Elastic fleet events ([`FleetEvents`]) are scheduled in **virtual**
 //! nanoseconds: as the bridge advances past a leave or join, live
 //! capacity changes mid-serving exactly as it would mid-trace, and
 //! `GET /metrics` exposes the online-chip count as it moves.
+//!
+//! [`FleetEngine`]: spatten_serve::FleetEngine
+//! [`FleetEngine::next_event_time`]: spatten_serve::FleetEngine::next_event_time
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -106,6 +114,62 @@ pub struct ServerConfig {
     pub workers: usize,
 }
 
+impl ServerConfig {
+    /// Checks that this configuration describes a fleet the engine can
+    /// build, naming the field that does not: at least one chip, a
+    /// positive batch cap, a positive finite time scale, leaves that name
+    /// a chip of the roster (`chips` plus the joins), and joins clocked
+    /// like the fleet. [`Server::start`] calls it before binding.
+    pub fn validate(&self) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if self.chips == 0 {
+            return invalid("chips must be at least 1".into());
+        }
+        if self.max_batch == 0 {
+            return invalid("max_batch must be at least 1".into());
+        }
+        if !(self.time_scale.is_finite() && self.time_scale > 0.0) {
+            return invalid(format!(
+                "time_scale must be positive and finite, got {}",
+                self.time_scale
+            ));
+        }
+        let roster = self.chips + self.events.joins.len();
+        if let Some(leave) = self.events.leaves.iter().find(|l| l.chip >= roster) {
+            return invalid(format!(
+                "events: a leave targets chip {} of a {roster}-chip roster",
+                leave.chip
+            ));
+        }
+        let clock = self.fleet().accel.clock_ghz;
+        if let Some(join) = self
+            .events
+            .joins
+            .iter()
+            .find(|j| j.chip_config.clock_ghz.to_bits() != clock.to_bits())
+        {
+            return invalid(format!(
+                "events: a join is clocked at {} GHz, the fleet at {clock} GHz",
+                join.chip_config.clock_ghz
+            ));
+        }
+        Ok(())
+    }
+
+    /// The fleet this configuration serves.
+    fn fleet(&self) -> FleetConfig {
+        FleetConfig {
+            max_batch: self.max_batch,
+            sched: self.sched,
+            elastic: Some(ElasticSpec {
+                events: self.events.clone(),
+                ..ElasticSpec::default()
+            }),
+            ..FleetConfig::new(self.chips, self.policy)
+        }
+    }
+}
+
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
@@ -130,12 +194,41 @@ struct TimeBridge {
 }
 
 impl TimeBridge {
+    /// The virtual nanosecond `wall_ns` after the epoch maps to.
+    fn virtual_at(&self, wall_ns: u64) -> u64 {
+        (wall_ns as f64 * self.scale) as u64
+    }
+
     fn virtual_ns(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() as f64 * self.scale) as u64
+        self.virtual_at(self.wall_ns())
     }
 
     fn wall_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The virtual time now, in cycles of a `clock_ghz` clock.
+    fn cycles(&self, clock_ghz: f64) -> u64 {
+        ns_to_cycles(clock_ghz, self.virtual_ns())
+    }
+
+    /// The wall nanosecond after the epoch at which the bridge reaches
+    /// virtual cycle `cycle`: `ceil(cycle / clock_ghz) / scale`, rounded
+    /// up and then past any float shortfall, so it is never early (a
+    /// wake before an event only spins) and at most a few nanoseconds
+    /// late.
+    fn wall_ns_at(&self, cycle: u64, clock_ghz: f64) -> u64 {
+        let virtual_ns = (cycle as f64 / clock_ghz).ceil();
+        let mut wall = (virtual_ns / self.scale).ceil() as u64;
+        while wall < u64::MAX && ns_to_cycles(clock_ghz, self.virtual_at(wall)) < cycle {
+            wall += 1;
+        }
+        wall
+    }
+
+    /// How long from now until the bridge reaches virtual cycle `cycle`.
+    fn until(&self, cycle: u64, clock_ghz: f64) -> Duration {
+        Duration::from_nanos(self.wall_ns_at(cycle, clock_ghz)).saturating_sub(self.epoch.elapsed())
     }
 }
 
@@ -210,22 +303,14 @@ impl TokenSink for StreamSink {
     }
 }
 
-/// The engine thread: owns the [`FleetEngine`](spatten_serve::FleetEngine),
-/// drains the command
-/// queue, and keeps virtual time chasing the bridge. Returns the final
-/// post-mortem report once shut down (remaining accepted work drains to
-/// completion first, so every accepted stream terminates).
+/// The engine thread: owns the [`FleetEngine`], serves the command
+/// queue, and keeps virtual time chasing the bridge. It sleeps until the
+/// next command or the wall instant of the engine's next event, then
+/// steps to the bridge's now. Returns the final post-mortem report once
+/// shut down (remaining accepted work drains to completion first, so
+/// every accepted stream terminates).
 fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -> FleetReport {
-    let fleet = FleetConfig {
-        max_batch: cfg.max_batch,
-        sched: cfg.sched,
-        elastic: Some(ElasticSpec {
-            events: cfg.events,
-            ..ElasticSpec::default()
-        }),
-        ..FleetConfig::new(cfg.chips, cfg.policy)
-    };
-    let mut engine = fleet_engine(&fleet);
+    let mut engine = fleet_engine(&cfg.fleet());
     let streams: Streams = Rc::new(RefCell::new(HashMap::new()));
     let tokens = Rc::new(Cell::new(0u64));
     engine.set_sink(Box::new(StreamSink {
@@ -239,7 +324,11 @@ fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -
     let clock = engine.clock_ghz();
     let mut accepted: u64 = 0;
     loop {
-        match rx.recv_timeout(Duration::from_millis(1)) {
+        let woke = match engine.next_event_time() {
+            Some(t) => rx.recv_timeout(bridge.until(t, clock)),
+            None => rx.recv().map_err(RecvTimeoutError::from),
+        };
+        match woke {
             Ok(Command::Submit {
                 prompt,
                 gen,
@@ -267,6 +356,8 @@ fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -
                 let _ = reply.send(StreamEvent::Accepted { id });
             }
             Ok(Command::Snapshot { reply }) => {
+                // Never report state from before an event already due.
+                engine.step_until(bridge.cycles(clock));
                 let completed = engine.completed() as u64;
                 let rejected = engine.rejected() as u64;
                 let _ = reply.send(LiveSnapshot {
@@ -285,7 +376,7 @@ fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -
             Ok(Command::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
         }
-        engine.step_until(ns_to_cycles(clock, bridge.virtual_ns()));
+        engine.step_until(bridge.cycles(clock));
     }
     engine.drain()
 }
@@ -303,13 +394,12 @@ impl Server {
     /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral loopback
     /// port), starts the engine thread and the acceptor pool, and
     /// returns the running server.
+    ///
+    /// Fails with [`io::ErrorKind::InvalidInput`] before binding if
+    /// [`ServerConfig::validate`] rejects `cfg`.
     pub fn start(cfg: ServerConfig, bind: &str) -> io::Result<Server> {
-        assert!(
-            cfg.time_scale.is_finite() && cfg.time_scale > 0.0,
-            "time_scale must be positive and finite"
-        );
+        cfg.validate()?;
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let worker_count = if cfg.workers == 0 {
             thread::available_parallelism().map_or(4, usize::from)
@@ -351,9 +441,14 @@ impl Server {
     }
 
     /// Stops accepting, drains the engine (accepted streams run to
-    /// completion), and returns the final post-mortem report.
+    /// completion), and returns the final post-mortem report. Each
+    /// acceptor blocked in `accept` is woken by one loopback connection.
     pub fn shutdown(mut self) -> FleetReport {
         self.stop.store(true, Ordering::SeqCst);
+        let wake = wake_addr(self.addr);
+        for _ in &self.workers {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -366,18 +461,35 @@ impl Server {
     }
 }
 
-/// One acceptor: polls the shared non-blocking listener and serves each
-/// accepted connection to completion on this thread (thread-per-core —
-/// a streaming response occupies its core until the stream ends).
+/// Where [`Server::shutdown`] connects to wake a blocked acceptor: the
+/// bound address, with an unspecified IP replaced by the loopback of
+/// the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// One acceptor: blocks in `accept` on the shared listener and serves
+/// each accepted connection to completion on this thread
+/// (thread-per-core — a streaming response occupies its core until the
+/// stream ends). It checks `stop` after every accept, so the connection
+/// [`Server::shutdown`] makes ends it.
 fn accept_loop(listener: TcpListener, cmd: Sender<Command>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = handle_connection(stream, &cmd);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // A real accept error (EMFILE, say) may recur at once: back
+            // off so the loop cannot spin.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -481,9 +593,6 @@ fn refuse(stream: TcpStream, code: u16, reason: &str, error: &str) -> io::Result
 }
 
 fn handle_connection(stream: TcpStream, cmd: &Sender<Command>) -> io::Result<()> {
-    // Accepted sockets may inherit the listener's non-blocking mode on
-    // some platforms; handlers want plain blocking reads with a bound.
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true)?;
     let req = match read_request(&stream)? {
@@ -715,4 +824,109 @@ fn respond_json(mut stream: TcpStream, code: u16, reason: &str, body: &str) -> i
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spatten_core::SpAttenConfig;
+    use spatten_serve::{ChipJoin, ChipLeave, LeaveMode};
+
+    #[test]
+    fn invalid_configs_are_refused_before_binding() {
+        fn leave(chip: usize) -> ChipLeave {
+            ChipLeave {
+                chip,
+                at_ns: 10_000_000,
+                mode: LeaveMode::Drain,
+            }
+        }
+        fn join(clock_ghz: f64) -> ChipJoin {
+            ChipJoin {
+                chip_config: SpAttenConfig {
+                    clock_ghz,
+                    ..SpAttenConfig::default()
+                },
+                at_ns: 10_000_000,
+            }
+        }
+        // Each edit of the default 4-chip config, and the field its error
+        // must name.
+        type Edit = fn(&mut ServerConfig);
+        let cases: [(&str, Edit); 9] = [
+            ("chips", |c| c.chips = 0),
+            ("max_batch", |c| c.max_batch = 0),
+            ("time_scale", |c| c.time_scale = 0.0),
+            ("time_scale", |c| c.time_scale = -1.0),
+            ("time_scale", |c| c.time_scale = f64::NAN),
+            ("time_scale", |c| c.time_scale = f64::INFINITY),
+            ("leave", |c| c.events.leaves.push(leave(4))),
+            ("leave", |c| {
+                c.events
+                    .joins
+                    .push(join(SpAttenConfig::default().clock_ghz));
+                c.events.leaves.push(leave(5));
+            }),
+            ("join", |c| {
+                c.events
+                    .joins
+                    .push(join(2.0 * SpAttenConfig::default().clock_ghz));
+            }),
+        ];
+        for (field, edit) in cases {
+            let mut cfg = ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            };
+            edit(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+            let started = Server::start(cfg, "127.0.0.1:0").err().map(|e| e.kind());
+            assert_eq!(started, Some(io::ErrorKind::InvalidInput), "{field}");
+        }
+        // A leave may name a joined chip.
+        let mut joined = ServerConfig::default();
+        joined
+            .events
+            .joins
+            .push(join(SpAttenConfig::default().clock_ghz));
+        joined.events.leaves.push(leave(4));
+        assert!(joined.validate().is_ok());
+        assert!(ServerConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn the_bridge_wakes_at_an_event_never_early_and_at_most_1us_late() {
+        for clock in [SpAttenConfig::default().clock_ghz, 1.37] {
+            for scale in [0.5, 1.0, 3.0, 8.0, 16.0] {
+                let bridge = TimeBridge {
+                    epoch: Instant::now(),
+                    scale,
+                };
+                for cycle in [0, 1, 7, 1_000_000, 1_000_000_000_003] {
+                    let wall = bridge.wall_ns_at(cycle, clock);
+                    let reached = ns_to_cycles(clock, bridge.virtual_at(wall));
+                    assert!(
+                        reached >= cycle,
+                        "{clock} GHz × {scale}: woke at cycle {reached} for {cycle}"
+                    );
+                    let exact = cycle as f64 / clock / scale;
+                    assert!(
+                        wall as f64 - exact <= 1_000.0,
+                        "{clock} GHz × {scale}: woke at {wall} ns for {exact} ns"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wake_connections_go_to_the_loopback_of_the_bound_family() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap());
+        assert_eq!(wake("0.0.0.0:8000"), "127.0.0.1:8000".parse().unwrap());
+        assert_eq!(wake("[::]:8000"), "[::1]:8000".parse().unwrap());
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9".parse().unwrap());
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80".parse().unwrap());
+    }
 }

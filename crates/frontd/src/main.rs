@@ -101,6 +101,10 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Err(e) = cfg.validate() {
+        return usage(&e.to_string());
+    }
+
     if run_selftest {
         // The smoke wants throughput, not realtime: compress the wall
         // clock unless the caller tuned it themselves.

@@ -504,6 +504,56 @@ mod tests {
     }
 
     #[test]
+    fn a_timed_drain_fires_with_no_traffic() {
+        // No request ever reaches this server, so only the engine's own
+        // wake at the drain's bridge-mapped time (or the step before a
+        // snapshot) can take the chip out.
+        let drain_ns = 50_000_000;
+        let time_scale = 4.0;
+        let server = Server::start(
+            ServerConfig {
+                chips: 3,
+                time_scale,
+                workers: 2,
+                events: FleetEvents {
+                    leaves: vec![ChipLeave {
+                        chip: 2,
+                        at_ns: drain_ns,
+                        mode: LeaveMode::Drain,
+                    }],
+                    joins: vec![],
+                },
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        thread::sleep(Duration::from_nanos(drain_ns / time_scale as u64) * 2);
+        let (code, snap) = simple_get(server.addr(), "/metrics").expect("metrics");
+        assert_eq!(code, 200);
+        let snap = json::parse(&snap).expect("snapshot JSON");
+        assert_eq!(
+            snap.get("online_chips").and_then(JsonValue::as_u64),
+            Some(2)
+        );
+        assert_eq!(server.shutdown().completed, 0);
+    }
+
+    #[test]
+    fn a_server_that_never_served_shuts_down() {
+        // Every acceptor is blocked in accept; shutdown must wake each.
+        let server = Server::start(
+            ServerConfig {
+                workers: 4,
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        assert_eq!(server.shutdown().completed, 0);
+    }
+
+    #[test]
     fn stream_events_are_plain_data() {
         // The stream protocol types stay Send + 'static so acceptor
         // threads can carry them; this is a compile-time check.

@@ -47,6 +47,9 @@
 //! * [`FleetEngine::step_until`] — advance the event clock up to a
 //!   virtual-time horizon, firing arrivals, round ends, KV handoffs and
 //!   elastic membership events in `(time, seq)` order;
+//! * [`FleetEngine::next_event_time`] — peek at the virtual time of the
+//!   next event, so a live loop can sleep until the wall clock reaches
+//!   it;
 //! * [`FleetEngine::drain`] — run the clock dry and fold the run into a
 //!   [`FleetReport`].
 //!
@@ -75,8 +78,9 @@
 //! The engine has no clock of its own — `step_until(vtime)` processes
 //! every event with `time <= vtime` and stops. A live front-end owns
 //! the mapping from wall instants to virtual cycles (`spatten-frontd`
-//! uses `cycles = ns_to_cycles(clock_ghz, elapsed_ns × time_scale)`) and
-//! calls `inject` / `step_until` from its bridge loop; an offline caller
+//! uses `cycles = ns_to_cycles(clock_ghz, elapsed_ns × time_scale)`),
+//! calls `inject` / `step_until` from its bridge loop, and sleeps until
+//! the wall instant `next_event_time` maps to; an offline caller
 //! just passes trace timestamps. Arrival times must be non-decreasing —
 //! the engine clamps an early-looking arrival to the time already
 //! reached, which is the identity on any sorted trace.
@@ -803,23 +807,34 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         self.prime();
     }
 
-    /// Fires the single next event (injected arrival or heap event),
-    /// but only if its time is within `limit`. Returns whether an event
-    /// fired. An arrival beats any heap event at the same time.
-    fn step_one(&mut self, limit: Option<u64>) -> bool {
+    /// The next event to fire: whether it is the front injected arrival
+    /// (which beats any heap event at the same time), and its time.
+    fn next_event(&self) -> Option<(bool, u64)> {
         let arrival = self.pending.front().map(|&(t, _)| t);
         let event = self.events.peek().map(|e| e.time);
-        let (fire_arrival, t) = match (arrival, event) {
-            (Some(a), Some(e)) => {
-                if a <= e {
-                    (true, a)
-                } else {
-                    (false, e)
-                }
-            }
-            (Some(a), None) => (true, a),
-            (None, Some(e)) => (false, e),
-            (None, None) => return false,
+        match (arrival, event) {
+            (Some(a), Some(e)) => Some(if a <= e { (true, a) } else { (false, e) }),
+            (Some(a), None) => Some((true, a)),
+            (None, Some(e)) => Some((false, e)),
+            (None, None) => None,
+        }
+    }
+
+    /// The virtual time of the event [`step`](Self::step) fires next,
+    /// or `None` when it would return `false`. Primes the engine first,
+    /// as `step` does, so a scheduled leave or join is visible before
+    /// any traffic arrives — a live loop sleeps until this time.
+    pub fn next_event_time(&mut self) -> Option<u64> {
+        self.prime();
+        self.next_event().map(|(_, t)| t)
+    }
+
+    /// Fires the single next event (injected arrival or heap event),
+    /// but only if its time is within `limit`. Returns whether an event
+    /// fired.
+    fn step_one(&mut self, limit: Option<u64>) -> bool {
+        let Some((fire_arrival, t)) = self.next_event() else {
+            return false;
         };
         if limit.is_some_and(|l| t > l) {
             return false;

@@ -11,8 +11,9 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use spatten_serve::{
-    fleet_engine, simulate_fleet, ElasticSpec, FleetConfig, FleetEvents, PolicyFleetEngine,
-    PoolSpec, PreemptSpec, Rejection, RouteSpec, StealSpec, TokenEvent, TokenSink,
+    fleet_engine, ns_to_cycles, simulate_fleet, ChipLeave, ElasticSpec, FleetConfig, FleetEvents,
+    LeaveMode, PolicyFleetEngine, PoolSpec, PreemptSpec, Rejection, RouteSpec, StealSpec,
+    TokenEvent, TokenSink,
 };
 use spatten_workloads::{ArrivalSpec, Trace, TraceSpec};
 
@@ -196,4 +197,91 @@ fn pausing_mid_run_does_not_perturb_the_timeline() {
         let _ = engine.backlog();
     }
     assert_eq!(engine.drain(), offline);
+}
+
+/// Steps `engine` dry, checking before every [`step`] that
+/// [`next_event_time`] names exactly the time that step fires (read back
+/// as [`now`]), and is `None` exactly when the step fires nothing.
+/// Returns the number of events fired.
+///
+/// [`step`]: spatten_serve::FleetEngine::step
+/// [`next_event_time`]: spatten_serve::FleetEngine::next_event_time
+/// [`now`]: spatten_serve::FleetEngine::now
+fn step_dry_checking_the_peek(engine: &mut PolicyFleetEngine) -> u64 {
+    let mut fired = 0;
+    loop {
+        let peek = engine.next_event_time();
+        let stepped = engine.step();
+        assert_eq!(
+            peek.is_some(),
+            stepped,
+            "peek {peek:?} after {fired} events"
+        );
+        if !stepped {
+            return fired;
+        }
+        assert_eq!(peek, Some(engine.now()), "event {fired}");
+        fired += 1;
+    }
+}
+
+/// The peek a live loop sleeps on agrees with `step` on every event: an
+/// open trace injected whole, a closed-loop trace (whose arrivals come
+/// from completions), and an engine holding only an elastic leave, which
+/// must be visible before anything is injected.
+#[test]
+fn next_event_time_names_the_event_step_fires() {
+    let trace = tiered_trace(60, 3000.0, 41);
+    let mut cfg = FleetConfig::new(3, spatten_serve::Policy::ContinuousBatching);
+    cfg.sched.steal = StealSpec::CostliestFit;
+    cfg.elastic = Some(ElasticSpec {
+        events: FleetEvents::seeded(5, 3, 20_000_000),
+        ..ElasticSpec::default()
+    });
+    let Trace::Open { requests } = &trace else {
+        unreachable!("tiered_trace is open-loop")
+    };
+    let mut engine = engine_for(&cfg);
+    for r in requests {
+        engine.inject(r);
+    }
+    let fired = step_dry_checking_the_peek(&mut engine);
+    assert_eq!(engine.drain(), simulate_fleet(&cfg, &trace));
+    assert!(fired > requests.len() as u64, "{fired} events");
+
+    let closed = TraceSpec::mixed(
+        ArrivalSpec::ClosedLoop {
+            clients: 4,
+            think_s: 0.002,
+            requests: 40,
+        },
+        43,
+    )
+    .generate();
+    let cfg = FleetConfig::new(2, spatten_serve::Policy::ContinuousBatching);
+    let Trace::Closed { clients, think_ns } = &closed else {
+        unreachable!("closed-loop spec generates a closed trace")
+    };
+    let mut engine = engine_for(&cfg);
+    engine.load_closed(clients, *think_ns);
+    step_dry_checking_the_peek(&mut engine);
+    assert_eq!(engine.drain(), simulate_fleet(&cfg, &closed));
+
+    let mut cfg = FleetConfig::new(3, spatten_serve::Policy::SloAware);
+    cfg.elastic = Some(ElasticSpec {
+        events: FleetEvents {
+            leaves: vec![ChipLeave {
+                chip: 2,
+                at_ns: 50_000_000,
+                mode: LeaveMode::Drain,
+            }],
+            joins: vec![],
+        },
+        ..ElasticSpec::default()
+    });
+    let mut engine = engine_for(&cfg);
+    let leave_at = ns_to_cycles(cfg.accel.clock_ghz, 50_000_000);
+    assert_eq!(engine.next_event_time(), Some(leave_at));
+    assert_eq!(step_dry_checking_the_peek(&mut engine), 1);
+    assert_eq!(engine.online_chips(), 2);
 }
