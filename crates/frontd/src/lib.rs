@@ -4,17 +4,18 @@
 //! replays pre-drawn arrivals through virtual time and reports a
 //! post-mortem.
 //! This crate turns that same engine into a **live server**: a
-//! hand-rolled thread-per-core `std::net` HTTP front-end whose requests
-//! arrive on the wall clock, get mapped onto virtual cycles through a
-//! time bridge, flow through SLO-aware admission control, and stream
-//! their per-token completions back chunk by chunk as the engine's
-//! [`TokenSink`] surfaces them.
+//! hand-rolled `std::net` HTTP front-end whose requests arrive on the
+//! wall clock, get mapped onto virtual cycles through a time bridge,
+//! flow through SLO-aware admission control, and stream their per-token
+//! completions back chunk by chunk as the engine's [`TokenSink`]
+//! surfaces them.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!   client ──HTTP──▶ acceptor thread (one per core, shared listener)
-//!                         │  parse request, build Submit command
+//!   client ──HTTP──▶ acceptor threads (shared blocking listener)
+//!                         │  read and bound the request, then hand its
+//!                         │  socket over in a Submit or Snapshot command
 //!                         ▼
 //!                    mpsc command queue
 //!                         │                    ┌─ virtual-time bridge ─┐
@@ -26,21 +27,26 @@
 //!                        the wall instant of the next engine event
 //!                         │ TokenSink events (tokens / rejection)
 //!                         ▼
-//!                    per-request mpsc stream ──▶ chunked HTTP response
+//!                    StreamSink writes each event to its request's
+//!                    non-blocking socket ──▶ chunked HTTP response
 //! ```
 //!
-//! One thread owns the engine; acceptor threads never touch it. A
-//! `Submit` injects the request at the bridge's current virtual time and
-//! hands back a private stream channel. Between commands the engine
-//! thread sleeps until the wall instant the bridge maps the engine's
-//! next event to ([`FleetEngine::next_event_time`]), then steps virtual
-//! time up to the wall clock, and the installed [`TokenSink`] forwards
-//! every retired token to the right stream as it happens. With no event
-//! pending it sleeps until the next command, and acceptors block in
-//! `accept`: nothing polls, so an idle server uses no CPU. The handler
-//! holds the HTTP status line until the admission verdict: the first
-//! stream event after acceptance is either tokens (→ `200` + chunked
-//! body) or an SLO rejection (→ `429`).
+//! One thread owns the engine and writes every response that needs it;
+//! acceptor threads never touch it. An acceptor reads a request, makes
+//! its socket non-blocking, hands it to the engine thread with the
+//! command and goes straight back to `accept`, so no stream holds an
+//! acceptor. A `Submit` injects the request at the bridge's current
+//! virtual time. Between commands the engine thread sleeps until the
+//! wall instant the bridge maps the engine's next event to
+//! ([`FleetEngine::next_event_time`]), then steps virtual time up to the
+//! wall clock, and the installed [`TokenSink`] writes every retired token
+//! to its request's socket as it happens. With no event pending it sleeps
+//! until the next command, and acceptors block in `accept`: nothing
+//! polls, so an idle server uses no CPU. The status line waits for the
+//! admission verdict: a request's first event is either tokens (→ `200`
+//! and a chunked body) or an SLO rejection (→ `429`). A write never
+//! blocks the engine: one that fails, because the client closed or
+//! stopped reading, drops that stream, and its job decodes on.
 //!
 //! Elastic fleet events ([`FleetEvents`]) are scheduled in **virtual**
 //! nanoseconds: as the bridge advances past a leave or join, live
@@ -50,21 +56,22 @@
 //! [`FleetEngine`]: spatten_serve::FleetEngine
 //! [`FleetEngine::next_event_time`]: spatten_serve::FleetEngine::next_event_time
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use spatten_serve::json::{self, JsonObject, JsonValue};
 use spatten_serve::{
-    fleet_engine, ns_to_cycles, ElasticSpec, FleetConfig, FleetEvents, FleetReport, LiveSnapshot,
-    Policy, Rejection, SchedKnobs, TokenEvent, TokenSink,
+    fleet_engine, ns_to_cycles, ElasticSpec, FleetConfig, FleetEvents, FleetReport, Policy,
+    Rejection, SchedKnobs, TokenEvent, TokenSink,
 };
 use spatten_workloads::{Benchmark, TraceRequest};
 
@@ -109,8 +116,10 @@ pub struct ServerConfig {
     /// Elastic membership events, scheduled in *virtual* nanoseconds
     /// from the server's start.
     pub events: FleetEvents,
-    /// Acceptor threads sharing the listener (thread-per-core; 0 means
-    /// one per available core).
+    /// Acceptor threads sharing the listener (0 means one per available
+    /// core). An acceptor holds a connection only while it reads the
+    /// request; the engine thread writes every stream, so this does not
+    /// bound how many stream at once.
     pub workers: usize,
 }
 
@@ -118,8 +127,9 @@ impl ServerConfig {
     /// Checks that this configuration describes a fleet the engine can
     /// build, naming the field that does not: at least one chip, a
     /// positive batch cap, a positive finite time scale, leaves that name
-    /// a chip of the roster (`chips` plus the joins), and joins clocked
-    /// like the fleet. [`Server::start`] calls it before binding.
+    /// a chip of the roster (`chips` plus the joins) and spare at least
+    /// one base chip, and joins clocked like the fleet. [`Server::start`]
+    /// calls it before binding.
     pub fn validate(&self) -> io::Result<()> {
         let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if self.chips == 0 {
@@ -140,6 +150,11 @@ impl ServerConfig {
                 "events: a leave targets chip {} of a {roster}-chip roster",
                 leave.chip
             ));
+        }
+        // The engine re-routes displaced work to an online chip, so one
+        // must stay: a fleet that loses every base chip never answers.
+        if (0..self.chips).all(|chip| self.events.leaves.iter().any(|l| l.chip == chip)) {
+            return invalid("events: every base chip leaves; one must stay online".into());
         }
         let clock = self.fleet().accel.clock_ghz;
         if let Some(join) = self
@@ -232,91 +247,132 @@ impl TimeBridge {
     }
 }
 
-/// One event on a request's private stream channel.
-#[derive(Debug, Clone)]
-pub enum StreamEvent {
-    /// The engine queued the request (admission decides later).
-    Accepted {
-        /// Server-assigned request id.
-        id: u64,
-    },
-    /// A round retired tokens for this request.
-    Tokens {
-        /// Stream offset of the first token in this batch.
-        first: usize,
-        /// Tokens retired this round (0 only on a terminal event).
-        count: usize,
-        /// Whether the request is complete.
-        done: bool,
-    },
-    /// Live SLO admission shed the request.
-    Rejected {
-        /// Server-assigned request id.
-        id: u64,
-    },
-}
-
-/// Commands the HTTP side sends the engine thread.
+/// Commands the HTTP side sends the engine thread. A request that needs
+/// the engine carries its client's non-blocking socket, and the engine
+/// thread writes the response on it.
 enum Command {
     Submit {
         prompt: usize,
         gen: usize,
         slo_ns: Option<u64>,
         priority: u8,
-        reply: Sender<StreamEvent>,
+        socket: TcpStream,
     },
     Snapshot {
-        reply: Sender<LiveSnapshot>,
+        socket: TcpStream,
     },
     Shutdown,
 }
 
-type Streams = Rc<RefCell<HashMap<u64, Sender<StreamEvent>>>>;
-
-/// The engine-side half of the seam: forwards every token event to its
-/// request's stream and counts what it forwarded for `/metrics`.
-struct StreamSink {
-    streams: Streams,
-    tokens: Rc<Cell<u64>>,
+/// A generation response the engine thread is writing: the client's
+/// socket and the tokens sent on it. Every event but a request's last
+/// carries a token, so none sent means the status line has not gone out.
+struct Response {
+    socket: TcpStream,
+    sent: u64,
 }
+
+/// The open responses by request id, and every token the engine retired
+/// (for `/metrics`).
+#[derive(Default)]
+struct Streams {
+    open: HashMap<u64, Response>,
+    tokens: u64,
+}
+
+/// The head of a streamed generation response.
+const STREAM_HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\n\
+                           Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+
+/// The chunk that ends a streamed response.
+const LAST_CHUNK: &str = "0\r\n\r\n";
+
+/// The engine-side half of the seam: writes each token event or
+/// rejection to its request's socket as one buffer, as the engine emits
+/// it. A failed write (a closed peer, or `WouldBlock` from a client that
+/// stopped reading until its socket buffers filled) drops that stream;
+/// its job decodes on.
+struct StreamSink(Rc<RefCell<Streams>>);
 
 impl TokenSink for StreamSink {
     fn on_tokens(&mut self, ev: &TokenEvent) {
-        self.tokens.set(self.tokens.get() + ev.count as u64);
-        let mut streams = self.streams.borrow_mut();
-        if let Some(tx) = streams.get(&ev.id) {
-            let _ = tx.send(StreamEvent::Tokens {
-                first: ev.first,
-                count: ev.count,
-                done: ev.done,
-            });
-            if ev.done {
-                streams.remove(&ev.id);
-            }
+        let streams = &mut *self.0.borrow_mut();
+        streams.tokens += ev.count as u64;
+        let Some(r) = streams.open.get_mut(&ev.id) else {
+            return;
+        };
+        let mut out = String::new();
+        if r.sent == 0 {
+            out.push_str(STREAM_HEAD);
+            push_chunk(&mut out, &record("accepted").u64("id", ev.id).build());
+        }
+        if ev.count > 0 {
+            r.sent += ev.count as u64;
+            push_chunk(
+                &mut out,
+                &record("tokens")
+                    .u64("first", ev.first as u64)
+                    .u64("count", ev.count as u64)
+                    .build(),
+            );
+        }
+        if ev.done {
+            push_chunk(
+                &mut out,
+                &record("done")
+                    .u64("id", ev.id)
+                    .u64("total_tokens", r.sent)
+                    .build(),
+            );
+            out.push_str(LAST_CHUNK);
+        }
+        if r.socket.write_all(out.as_bytes()).is_err() || ev.done {
+            streams.open.remove(&ev.id);
         }
     }
 
-    fn on_rejection(&mut self, r: &Rejection) {
-        if let Some(tx) = self.streams.borrow_mut().remove(&r.id) {
-            let _ = tx.send(StreamEvent::Rejected { id: r.id });
-        }
+    fn on_rejection(&mut self, rejection: &Rejection) {
+        let Some(mut r) = self.0.borrow_mut().open.remove(&rejection.id) else {
+            return;
+        };
+        let out = if r.sent == 0 {
+            let body = JsonObject::new()
+                .u64("id", rejection.id)
+                .str("error", "rejected by slo admission")
+                .build();
+            json_response(429, "Too Many Requests", &body)
+        } else {
+            let mut out = String::new();
+            push_chunk(
+                &mut out,
+                &record("rejected").u64("id", rejection.id).build(),
+            );
+            out + LAST_CHUNK
+        };
+        let _ = r.socket.write_all(out.as_bytes());
     }
+}
+
+/// A stream record: a JSON object that opens with its `event` name.
+fn record(event: &str) -> JsonObject {
+    JsonObject::new().str("event", event)
+}
+
+/// Appends `record` and its newline to `out` as one HTTP chunk.
+fn push_chunk(out: &mut String, record: &str) {
+    let _ = write!(out, "{:x}\r\n{record}\n\r\n", record.len() + 1);
 }
 
 /// The engine thread: owns the [`FleetEngine`], serves the command
 /// queue, and keeps virtual time chasing the bridge. It sleeps until the
 /// next command or the wall instant of the engine's next event, then
 /// steps to the bridge's now. Returns the final post-mortem report once
-/// shut down (remaining accepted work drains to completion first, so
-/// every accepted stream terminates).
+/// shut down (remaining accepted work drains to completion first, and
+/// every open stream is written to its end at once).
 fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -> FleetReport {
     let mut engine = fleet_engine(&cfg.fleet());
-    let streams: Streams = Rc::new(RefCell::new(HashMap::new()));
-    let tokens = Rc::new(Cell::new(0u64));
-    engine.set_sink(Box::new(StreamSink {
-        streams: streams.clone(),
-        tokens: tokens.clone(),
-    }));
+    let streams = Rc::new(RefCell::new(Streams::default()));
+    engine.set_sink(Box::new(StreamSink(streams.clone())));
     let template = Benchmark::gpt2_small_wikitext2().workload();
     // A join can fire before the first request; price it off the
     // serving model rather than leaving the weight reference unset.
@@ -334,7 +390,7 @@ fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -
                 gen,
                 slo_ns,
                 priority,
-                reply,
+                socket,
             }) => {
                 let id = accepted;
                 accepted += 1;
@@ -351,27 +407,30 @@ fn engine_thread(cfg: ServerConfig, bridge: TimeBridge, rx: Receiver<Command>) -
                     shared_prefix_tokens: 0,
                     workload,
                 };
-                streams.borrow_mut().insert(id, reply.clone());
+                streams
+                    .borrow_mut()
+                    .open
+                    .insert(id, Response { socket, sent: 0 });
                 engine.inject(&req);
-                let _ = reply.send(StreamEvent::Accepted { id });
             }
-            Ok(Command::Snapshot { reply }) => {
+            Ok(Command::Snapshot { mut socket }) => {
                 // Never report state from before an event already due.
                 engine.step_until(bridge.cycles(clock));
                 let completed = engine.completed() as u64;
                 let rejected = engine.rejected() as u64;
-                let _ = reply.send(LiveSnapshot {
-                    accepted,
-                    rejected,
-                    completed,
-                    tokens_streamed: tokens.get(),
-                    in_flight: accepted.saturating_sub(completed + rejected),
-                    backlog: engine.backlog() as u64,
-                    vtime_cycles: engine.now(),
-                    wall_elapsed_ns: bridge.wall_ns(),
-                    online_chips: engine.online_chips() as u64,
-                    total_chips: engine.chips() as u64,
-                });
+                let body = JsonObject::new()
+                    .u64("accepted", accepted)
+                    .u64("rejected", rejected)
+                    .u64("completed", completed)
+                    .u64("tokens_streamed", streams.borrow().tokens)
+                    .u64("in_flight", accepted.saturating_sub(completed + rejected))
+                    .u64("backlog", engine.backlog() as u64)
+                    .u64("vtime_cycles", engine.now())
+                    .u64("wall_elapsed_ns", bridge.wall_ns())
+                    .u64("online_chips", engine.online_chips() as u64)
+                    .u64("total_chips", engine.chips() as u64)
+                    .build();
+                let _ = socket.write_all(json_response(200, "OK", &body).as_bytes());
             }
             Ok(Command::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
@@ -440,9 +499,10 @@ impl Server {
         self.addr
     }
 
-    /// Stops accepting, drains the engine (accepted streams run to
-    /// completion), and returns the final post-mortem report. Each
-    /// acceptor blocked in `accept` is woken by one loopback connection.
+    /// Stops accepting, drains the engine (accepted jobs run to
+    /// completion, and each open stream is written to its end at once),
+    /// and returns the final post-mortem report. Each acceptor blocked in
+    /// `accept` is woken by one loopback connection.
     pub fn shutdown(mut self) -> FleetReport {
         self.stop.store(true, Ordering::SeqCst);
         let wake = wake_addr(self.addr);
@@ -473,11 +533,11 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// One acceptor: blocks in `accept` on the shared listener and serves
-/// each accepted connection to completion on this thread
-/// (thread-per-core — a streaming response occupies its core until the
-/// stream ends). It checks `stop` after every accept, so the connection
-/// [`Server::shutdown`] makes ends it.
+/// One acceptor: blocks in `accept` on the shared listener, reads and
+/// routes each connection's request, and goes straight back to `accept`.
+/// A request the engine answers leaves with its socket, so no stream
+/// holds an acceptor. It checks `stop` after every accept, so the
+/// connection [`Server::shutdown`] makes ends it.
 fn accept_loop(listener: TcpListener, cmd: Sender<Command>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         let accepted = listener.accept();
@@ -664,166 +724,50 @@ fn handle_generate(stream: TcpStream, cmd: &Sender<Command>, body: &[u8]) -> io:
         .and_then(JsonValue::as_u64)
         .unwrap_or(0)
         .min(u8::MAX as u64) as u8;
-    let (reply, events) = mpsc::channel();
-    if cmd
-        .send(Command::Submit {
-            prompt,
-            gen,
-            slo_ns,
-            priority,
-            reply,
-        })
-        .is_err()
-    {
-        return respond_json(
-            stream,
-            503,
-            "Service Unavailable",
-            &JsonObject::new()
-                .str("error", "server shutting down")
-                .build(),
-        );
-    }
-    let id = match events.recv() {
-        Ok(StreamEvent::Accepted { id }) => id,
-        _ => {
-            return respond_json(
-                stream,
-                503,
-                "Service Unavailable",
-                &JsonObject::new().str("error", "engine unavailable").build(),
-            );
-        }
+    stream.set_nonblocking(true)?;
+    let submit = Command::Submit {
+        prompt,
+        gen,
+        slo_ns,
+        priority,
+        socket: stream,
     };
-    // Hold the status line until the admission verdict: the next event
-    // is either the first retired tokens or an SLO rejection.
-    match events.recv() {
-        Ok(StreamEvent::Rejected { .. }) => respond_json(
-            stream,
-            429,
-            "Too Many Requests",
-            &JsonObject::new()
-                .u64("id", id)
-                .str("error", "rejected by slo admission")
-                .build(),
-        ),
-        Ok(first @ StreamEvent::Tokens { .. }) => stream_tokens(stream, id, first, events),
-        Ok(StreamEvent::Accepted { .. }) | Err(_) => respond_json(
-            stream,
-            500,
-            "Internal Server Error",
-            &JsonObject::new()
-                .str("error", "stream broke before verdict")
-                .build(),
-        ),
-    }
-}
-
-/// Streams token events as one chunk per engine round, JSON-lines
-/// framed, until the terminal `done` (or a mid-stream rejection, which
-/// closes the stream with a terminal `rejected` record).
-fn stream_tokens(
-    mut stream: TcpStream,
-    id: u64,
-    first: StreamEvent,
-    events: Receiver<StreamEvent>,
-) -> io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\n\
-          Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-    )?;
-    send_chunk(
-        &mut stream,
-        &JsonObject::new()
-            .str("event", "accepted")
-            .u64("id", id)
-            .build(),
-    )?;
-    let mut ev = first;
-    let mut total: u64 = 0;
-    loop {
-        match ev {
-            StreamEvent::Tokens { first, count, done } => {
-                if count > 0 {
-                    total += count as u64;
-                    send_chunk(
-                        &mut stream,
-                        &JsonObject::new()
-                            .str("event", "tokens")
-                            .u64("first", first as u64)
-                            .u64("count", count as u64)
-                            .build(),
-                    )?;
-                }
-                if done {
-                    send_chunk(
-                        &mut stream,
-                        &JsonObject::new()
-                            .str("event", "done")
-                            .u64("id", id)
-                            .u64("total_tokens", total)
-                            .build(),
-                    )?;
-                    break;
-                }
-            }
-            StreamEvent::Rejected { .. } => {
-                send_chunk(
-                    &mut stream,
-                    &JsonObject::new()
-                        .str("event", "rejected")
-                        .u64("id", id)
-                        .build(),
-                )?;
-                break;
-            }
-            StreamEvent::Accepted { .. } => {}
-        }
-        ev = match events.recv() {
-            Ok(ev) => ev,
-            Err(_) => {
-                // Engine gone without a terminal event — only possible
-                // on a panic; tell the client the stream aborted.
-                send_chunk(
-                    &mut stream,
-                    &JsonObject::new()
-                        .str("event", "aborted")
-                        .u64("id", id)
-                        .build(),
-                )?;
-                break;
-            }
-        };
-    }
-    stream.write_all(b"0\r\n\r\n")
-}
-
-fn send_chunk(stream: &mut TcpStream, record: &str) -> io::Result<()> {
-    write!(stream, "{:x}\r\n{record}\n\r\n", record.len() + 1)
+    hand_over(cmd, submit, "server shutting down")
 }
 
 fn handle_metrics(stream: TcpStream, cmd: &Sender<Command>) -> io::Result<()> {
-    let (reply, snap_rx) = mpsc::channel();
-    if cmd.send(Command::Snapshot { reply }).is_ok() {
-        if let Ok(snap) = snap_rx.recv_timeout(Duration::from_secs(5)) {
-            return respond_json(stream, 200, "OK", &snap.to_json());
-        }
-    }
-    respond_json(
-        stream,
-        503,
-        "Service Unavailable",
-        &JsonObject::new().str("error", "engine unavailable").build(),
+    stream.set_nonblocking(true)?;
+    hand_over(
+        cmd,
+        Command::Snapshot { socket: stream },
+        "engine unavailable",
     )
 }
 
-fn respond_json(mut stream: TcpStream, code: u16, reason: &str, body: &str) -> io::Result<()> {
-    write!(
-        stream,
+/// Sends a request and its socket to the engine thread, which answers
+/// it. If that thread is gone, the command comes back with the socket
+/// and the client gets `503` with `error` at once.
+fn hand_over(cmd: &Sender<Command>, command: Command, error: &str) -> io::Result<()> {
+    match cmd.send(command) {
+        Err(SendError(Command::Submit { socket, .. } | Command::Snapshot { socket })) => {
+            let body = JsonObject::new().str("error", error).build();
+            respond_json(socket, 503, "Service Unavailable", &body)
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A complete JSON response, as one buffer.
+fn json_response(code: u16, reason: &str, body: &str) -> String {
+    format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
+}
+
+fn respond_json(mut stream: TcpStream, code: u16, reason: &str, body: &str) -> io::Result<()> {
+    stream.write_all(json_response(code, reason, body).as_bytes())
 }
 
 #[cfg(test)]
@@ -841,6 +785,12 @@ mod tests {
                 mode: LeaveMode::Drain,
             }
         }
+        fn revoke(chip: usize) -> ChipLeave {
+            ChipLeave {
+                mode: LeaveMode::Revoke { grace_ns: 0 },
+                ..leave(chip)
+            }
+        }
         fn join(clock_ghz: f64) -> ChipJoin {
             ChipJoin {
                 chip_config: SpAttenConfig {
@@ -853,7 +803,7 @@ mod tests {
         // Each edit of the default 4-chip config, and the field its error
         // must name.
         type Edit = fn(&mut ServerConfig);
-        let cases: [(&str, Edit); 9] = [
+        let cases: [(&str, Edit); 11] = [
             ("chips", |c| c.chips = 0),
             ("max_batch", |c| c.max_batch = 0),
             ("time_scale", |c| c.time_scale = 0.0),
@@ -866,6 +816,15 @@ mod tests {
                     .joins
                     .push(join(SpAttenConfig::default().clock_ghz));
                 c.events.leaves.push(leave(5));
+            }),
+            // No base chip survives.
+            ("leave", |c| {
+                c.chips = 1;
+                c.events.leaves.push(leave(0));
+            }),
+            ("leave", |c| {
+                c.chips = 2;
+                c.events.leaves.extend([leave(0), revoke(1)]);
             }),
             ("join", |c| {
                 c.events
@@ -893,6 +852,13 @@ mod tests {
             .push(join(SpAttenConfig::default().clock_ghz));
         joined.events.leaves.push(leave(4));
         assert!(joined.validate().is_ok());
+        // One surviving base chip is enough.
+        let mut survivor = ServerConfig {
+            chips: 2,
+            ..ServerConfig::default()
+        };
+        survivor.events.leaves.push(revoke(0));
+        assert!(survivor.validate().is_ok());
         assert!(ServerConfig::default().validate().is_ok());
     }
 

@@ -291,8 +291,35 @@ fn dechunk(body: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StreamEvent;
     use spatten_serve::{ChipLeave, FleetEvents, LeaveMode};
+
+    fn generate_body(gen_tokens: u64) -> String {
+        JsonObject::new()
+            .u64("prompt_tokens", 32)
+            .u64("gen_tokens", gen_tokens)
+            .build()
+    }
+
+    /// Opens a `POST /v1/generate` for `gen_tokens` and returns its
+    /// socket with the first bytes of the answer.
+    fn open_stream(addr: SocketAddr, gen_tokens: u64) -> (TcpStream, Vec<u8>) {
+        let body = generate_body(gen_tokens);
+        let mut socket = TcpStream::connect(addr).expect("connect");
+        socket
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        write!(
+            socket,
+            "POST /v1/generate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("send request");
+        let mut first = vec![0u8; 4096];
+        let n = socket.read(&mut first).expect("first bytes");
+        assert!(n > 0, "the server closed before answering");
+        first.truncate(n);
+        (socket, first)
+    }
 
     #[test]
     fn loopback_swarm_streams_or_rejects_every_request() {
@@ -350,6 +377,23 @@ mod tests {
         let (code, body) = simple_get(addr, "/metrics").expect("metrics");
         assert_eq!(code, 200);
         let snap = json::parse(&body).expect("snapshot JSON");
+        for key in [
+            "accepted",
+            "rejected",
+            "completed",
+            "tokens_streamed",
+            "in_flight",
+            "backlog",
+            "vtime_cycles",
+            "wall_elapsed_ns",
+            "online_chips",
+            "total_chips",
+        ] {
+            assert!(
+                snap.get(key).and_then(JsonValue::as_u64).is_some(),
+                "/metrics lacks {key}: {body}"
+            );
+        }
         assert_eq!(
             snap.get("online_chips").and_then(JsonValue::as_u64),
             Some(2)
@@ -554,11 +598,131 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_does_not_hold_an_acceptor() {
+        // One acceptor: while a long stream runs, a short request must
+        // still be read, served and finished.
+        let server = Server::start(
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = server.addr();
+        // A cold cost memo prices a request's whole decode span before
+        // its first token, which in a debug build outlasts the stream
+        // itself; an abandoned stream of the same shape warms it.
+        drop(open_stream(addr, 2_000));
+        let (mut long, mut raw) = open_stream(addr, 2_000);
+        let (code, short) = simple_post(addr, "/v1/generate", &generate_body(4)).expect("post");
+        assert_eq!(code, 200);
+        assert_eq!(parse_stream(&short), ClientOutcome::Streamed { total: 4 });
+        // The long stream has not ended yet: what it has sent so far
+        // holds no done record.
+        long.set_nonblocking(true).expect("nonblocking");
+        let mut chunk = [0u8; 65536];
+        while let Ok(n @ 1..) = long.read(&mut chunk) {
+            raw.extend_from_slice(&chunk[..n]);
+        }
+        assert!(
+            !String::from_utf8_lossy(&raw).contains("\"done\""),
+            "the short request waited for the long stream"
+        );
+        long.set_nonblocking(false).expect("blocking");
+        long.read_to_end(&mut raw).expect("long stream");
+        let (code, payload) = decode_response(&raw).expect("long response");
+        assert_eq!(code, 200);
+        assert_eq!(
+            parse_stream(&payload),
+            ClientOutcome::Streamed { total: 2_000 }
+        );
+        assert_eq!(server.shutdown().completed, 3);
+    }
+
+    #[test]
+    fn a_client_that_hangs_up_mid_stream_costs_only_its_stream() {
+        let server = Server::start(
+            ServerConfig {
+                chips: 1,
+                time_scale: 4.0,
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = server.addr();
+        drop(open_stream(addr, 400));
+        let (code, payload) = simple_post(addr, "/v1/generate", &generate_body(4)).expect("post");
+        assert_eq!(code, 200);
+        assert_eq!(parse_stream(&payload), ClientOutcome::Streamed { total: 4 });
+        // The abandoned job decoded on to completion.
+        assert_eq!(server.shutdown().completed, 2);
+    }
+
+    #[test]
+    fn a_revoked_chip_hands_its_streams_on_whole() {
+        // Chip 0 is revoked with no grace while two streams decode, one
+        // without an SLO and one with a generous one. A revoked resident
+        // re-queues with its progress, so every token still arrives. At a
+        // quarter of wall speed the revocation lands 160 ms in: after
+        // both requests arrive, before either stream ends.
+        let server = Server::start(
+            ServerConfig {
+                chips: 2,
+                time_scale: 0.25,
+                workers: 2,
+                events: FleetEvents {
+                    leaves: vec![ChipLeave {
+                        chip: 0,
+                        at_ns: 40_000_000,
+                        mode: LeaveMode::Revoke { grace_ns: 0 },
+                    }],
+                    joins: vec![],
+                },
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = server.addr();
+        let clients: Vec<_> = [None, Some(60_000.0)]
+            .into_iter()
+            .map(|slo_ms| {
+                let mut body = JsonObject::new()
+                    .u64("prompt_tokens", 32)
+                    .u64("gen_tokens", 400);
+                if let Some(ms) = slo_ms {
+                    body = body.f64("slo_ms", ms);
+                }
+                let body = body.build();
+                thread::spawn(move || simple_post(addr, "/v1/generate", &body))
+            })
+            .collect();
+        for client in clients {
+            let (code, payload) = client.join().expect("client").expect("post");
+            assert_eq!(code, 200);
+            assert_eq!(
+                parse_stream(&payload),
+                ClientOutcome::Streamed { total: 400 }
+            );
+        }
+        let report = server.shutdown();
+        assert_eq!(report.completed, 2);
+        let revoked: u64 = report
+            .chip_stats
+            .iter()
+            .map(|c| c.elastic.revoked_jobs)
+            .sum();
+        assert!(revoked >= 1, "the revocation found no stream on chip 0");
+    }
+
+    #[test]
     fn stream_events_are_plain_data() {
-        // The stream protocol types stay Send + 'static so acceptor
-        // threads can carry them; this is a compile-time check.
+        // The client outcome stays Send + 'static so client threads can
+        // hand it back; this is a compile-time check.
         fn assert_send<T: Send + 'static>() {}
-        assert_send::<StreamEvent>();
         assert_send::<ClientOutcome>();
     }
 }

@@ -132,7 +132,7 @@ pub use engine::{
     fleet_engine_policy, ns_to_cycles, FleetEngine, PolicyFleetEngine, TokenEvent, TokenSink,
 };
 pub use kv::{ChipKv, JobKvNeed, KvPager, KvSpec, KvStats};
-pub use metrics::{ChipStats, ClassStats, FleetReport, LiveSnapshot, Percentiles};
+pub use metrics::{ChipStats, ClassStats, FleetReport, Percentiles};
 pub use preempt::{NoPreemption, PreemptionPolicy, PriorityPreemption, VictimView};
 pub use request::{Completion, Job, Rejection, ResumeState};
 pub use route::{

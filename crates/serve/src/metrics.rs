@@ -429,81 +429,9 @@ impl FleetReport {
     }
 }
 
-/// A point-in-time view of a **live** serving engine — the payload the
-/// `spatten-frontd` front-end serves at `GET /metrics`. Where
-/// [`FleetReport`] is a post-mortem over a drained timeline, this is a
-/// monotonic counter set sampled mid-flight, plus the virtual-time
-/// bridge position so operators can see how far simulated time has run
-/// ahead of (or behind) the wall clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveSnapshot {
-    /// Requests admitted into the engine (accepted by live admission).
-    pub accepted: u64,
-    /// Requests rejected by live SLO admission control.
-    pub rejected: u64,
-    /// Requests whose token stream ran to completion.
-    pub completed: u64,
-    /// Individual tokens streamed to clients so far.
-    pub tokens_streamed: u64,
-    /// Accepted requests still in flight (admitted, not yet terminal).
-    pub in_flight: u64,
-    /// Jobs queued inside the engine (scheduler backlog + undispatched
-    /// injections).
-    pub backlog: u64,
-    /// The engine's virtual clock, in core cycles.
-    pub vtime_cycles: u64,
-    /// Wall-clock nanoseconds since the bridge epoch (first request).
-    pub wall_elapsed_ns: u64,
-    /// Chips currently online (joins landed, leaves departed).
-    pub online_chips: u64,
-    /// Roster size including scheduled joiners and the reserve.
-    pub total_chips: u64,
-}
-
-impl LiveSnapshot {
-    /// Serializes the snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("accepted", self.accepted)
-            .u64("rejected", self.rejected)
-            .u64("completed", self.completed)
-            .u64("tokens_streamed", self.tokens_streamed)
-            .u64("in_flight", self.in_flight)
-            .u64("backlog", self.backlog)
-            .u64("vtime_cycles", self.vtime_cycles)
-            .u64("wall_elapsed_ns", self.wall_elapsed_ns)
-            .u64("online_chips", self.online_chips)
-            .u64("total_chips", self.total_chips)
-            .build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn live_snapshot_serializes_every_counter() {
-        let snap = LiveSnapshot {
-            accepted: 10,
-            rejected: 2,
-            completed: 7,
-            tokens_streamed: 123,
-            in_flight: 3,
-            backlog: 1,
-            vtime_cycles: 42_000,
-            wall_elapsed_ns: 5_000_000,
-            online_chips: 3,
-            total_chips: 4,
-        };
-        let json = snap.to_json();
-        let v = crate::json::parse(&json).expect("snapshot json parses");
-        assert_eq!(v.get("accepted").and_then(|x| x.as_u64()), Some(10));
-        assert_eq!(v.get("rejected").and_then(|x| x.as_u64()), Some(2));
-        assert_eq!(v.get("tokens_streamed").and_then(|x| x.as_u64()), Some(123));
-        assert_eq!(v.get("vtime_cycles").and_then(|x| x.as_u64()), Some(42_000));
-        assert_eq!(v.get("total_chips").and_then(|x| x.as_u64()), Some(4));
-    }
 
     #[test]
     fn percentiles_nearest_rank() {
