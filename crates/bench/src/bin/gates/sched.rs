@@ -1000,7 +1000,6 @@ pub fn run(args: &Args) -> Suite {
             events: FleetEvents::default(),
             reserve: vec![SpAttenConfig::default(); reserve_chips],
             autoscale: Some(AutoscaleSpec::default()),
-            models: None,
         }),
     );
     let auto_run = simulate_fleet(&auto_cfg, &diurnal);

@@ -28,8 +28,7 @@
 //! formula, and across jobs the iteration model serializes each job's
 //! collectives (they sit in the non-overlappable `serial_cycles`
 //! residue), which conservatively stands in for cross-job link
-//! contention. The contention-tracking [`Interconnect::transfer`] API is
-//! for finer-grained point-to-point studies on top of this layer.
+//! contention.
 //!
 //! KV accounting: the serving layer admits against one scalar (footprint,
 //! budget) pair per group, so per-shard budgets are folded in by
@@ -88,7 +87,7 @@ impl GroupSpec {
         }
     }
 
-    /// The group's interconnect (idle).
+    /// The group's interconnect.
     pub fn interconnect(&self) -> Interconnect {
         Interconnect::new(
             Topology::new(self.topology, self.chips.len().max(1)),

@@ -6,9 +6,9 @@
 //! set, or its target latency) outgrows a single accelerator:
 //!
 //! * [`topology`] — the interconnect model: [`Topology`] (ring /
-//!   fully-connected) and [`Interconnect`] — per-hop latency + bandwidth
-//!   transfer costs, contention-aware link scheduling, and ring /
-//!   all-to-all all-reduce collectives.
+//!   fully-connected) and [`Interconnect`] — idle-link per-hop latency +
+//!   bandwidth transfer costs and ring / all-to-all all-reduce
+//!   collectives.
 //! * [`shard`] — [`ShardStrategy`]: **tensor parallelism** (attention
 //!   heads and FC columns split N-way, with per-layer all-reduces whose
 //!   payload follows the *pruned* survivor set) and **pipeline
@@ -60,18 +60,11 @@ pub mod topology;
 
 pub use group::{ClusterCostModel, GroupSpec};
 pub use place::{
-    plan, plan_with_costs, plan_with_costs_kv, resolve_chip, shard_costs, shard_page_budget,
-    PlaceError, Placement, ShardCosts,
+    plan, plan_with_costs, resolve_chip, shard_costs, PlaceError, Placement, ShardCosts,
 };
 pub use shard::{
     activation_bytes, prefill_survivors, shard_decode, shard_kv_footprint, shard_kv_peak,
     shard_prefill, ShardStrategy,
 };
-pub use sim::{cluster_engine, simulate_cluster, unsharded_cluster, ClusterConfig};
+pub use sim::{cluster_engine, simulate_cluster, ClusterConfig};
 pub use topology::{Interconnect, Topology};
-
-// The scheduling knobs a cluster run composes with, re-exported so
-// cluster users configure routing / stealing / preemption without
-// depending on `spatten-serve` directly (`ClusterConfig::sched` carries
-// these into `spatten_serve::fleet_engine_policy`).
-pub use spatten_serve::{KvSpec, Policy, PreemptSpec, RouteSpec, SchedKnobs, StealSpec};

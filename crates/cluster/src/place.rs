@@ -19,7 +19,6 @@
 use crate::shard::{shard_decode, shard_kv_footprint, shard_prefill, ShardStrategy};
 use crate::topology::{Interconnect, Topology};
 use spatten_core::SpAttenConfig;
-use spatten_serve::KvSpec;
 use spatten_workloads::fleet::{ChipClass, FleetSpec};
 use spatten_workloads::Workload;
 use std::collections::HashMap;
@@ -29,19 +28,6 @@ pub fn resolve_chip(class: ChipClass) -> SpAttenConfig {
     match class {
         ChipClass::Full => SpAttenConfig::default(),
         ChipClass::Eighth => SpAttenConfig::eighth(),
-    }
-}
-
-/// The KV bytes of `cfg` a shard can actually pin under `kv`: the
-/// contiguous K/V SRAM budget, floored to whole pages under paged
-/// allocation — the sub-block remainder can never be handed out, so a
-/// plan admitted against the raw byte budget could overflow the pager by
-/// up to `block − 1` bytes per shard.
-pub fn shard_page_budget(cfg: &SpAttenConfig, kv: &KvSpec) -> u64 {
-    let budget = 2 * cfg.kv_sram_bytes;
-    match kv.block_bytes() {
-        Some(block) => (budget / block) * block,
-        None => budget,
     }
 }
 
@@ -163,21 +149,6 @@ pub fn plan_with_costs(
     w: &Workload,
     costs: &ShardCosts,
 ) -> Result<Placement, PlaceError> {
-    plan_with_costs_kv(fleet, strategy, w, costs, &KvSpec::Contiguous)
-}
-
-/// [`plan_with_costs`] with the shard budget check run under `kv`: paged
-/// serving can only pin whole pages, so each shard's working set is
-/// checked against its chip's block-floored budget
-/// ([`shard_page_budget`]). `KvSpec::Contiguous` reproduces
-/// [`plan_with_costs`] exactly.
-pub fn plan_with_costs_kv(
-    fleet: &FleetSpec,
-    strategy: &ShardStrategy,
-    w: &Workload,
-    costs: &ShardCosts,
-    kv: &KvSpec,
-) -> Result<Placement, PlaceError> {
     strategy.validate(w.model.layers);
     let shards = strategy.shards();
     if fleet.len() < shards {
@@ -204,7 +175,7 @@ pub fn plan_with_costs_kv(
             .expect("free chip remains");
         let cfg = resolve_chip(fleet.chips[chip]);
         let footprint = shard_kv_footprint(&cfg, w, strategy, s);
-        let budget = shard_page_budget(&cfg, kv);
+        let budget = 2 * cfg.kv_sram_bytes;
         if footprint > budget {
             return Err(PlaceError::KvBudgetExceeded {
                 shard: s,
@@ -324,56 +295,6 @@ mod tests {
                     assert!(fp <= 2 * cfg.kv_sram_bytes);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn paged_budgets_floor_to_whole_pages() {
-        let cfg = SpAttenConfig::default();
-        let contiguous = shard_page_budget(&cfg, &KvSpec::Contiguous);
-        assert_eq!(contiguous, 2 * cfg.kv_sram_bytes);
-        let block = 48 * 1024; // deliberately not a divisor of the budget
-        let paged = shard_page_budget(&cfg, &KvSpec::Paged { block_kib: 48 });
-        assert!(paged <= contiguous);
-        assert_eq!(paged % block, 0, "paged budget must be whole blocks");
-        assert!(contiguous - paged < block, "floor drops less than a block");
-    }
-
-    #[test]
-    fn paged_plan_rejects_what_only_the_sub_block_remainder_could_fit() {
-        // A shard sized into the gap between the block-floored and raw
-        // budgets: contiguous placement accepts, paged must reject.
-        let fleet = FleetSpec::mixed(1, 0);
-        let cfg = resolve_chip(ChipClass::Full);
-        let budget = 2 * cfg.kv_sram_bytes;
-        let strategy = ShardStrategy::tensor(1);
-        // Grow the context until the footprint lands in (floored, raw].
-        let mut w = gpt2();
-        let mut found = None;
-        for seq in (64..20_000).step_by(8) {
-            w.seq_len = seq;
-            w.gen_steps = 0;
-            let fp = shard_kv_footprint(&cfg, &w, &strategy, 0);
-            if fp > budget {
-                break;
-            }
-            // A one-byte-short-of-budget block spec: floor cuts budget
-            // to fp - 1 whenever fp doesn't divide evenly; synthesize
-            // the gap instead by picking a block larger than the slack.
-            found = Some((seq, fp));
-        }
-        let (seq, fp) = found.expect("a fitting context exists");
-        w.seq_len = seq;
-        w.gen_steps = 0;
-        let slack = budget - fp;
-        let costs = shard_costs(&fleet.chips, &strategy, &w, Some(8));
-        assert!(plan_with_costs(&fleet, &strategy, &w, &costs).is_ok());
-        // Any block size in (slack, fp] floors the budget below fp.
-        let block_kib = ((slack / 1024) + 1).max(1) as u32;
-        let kv = KvSpec::Paged { block_kib };
-        if shard_page_budget(&cfg, &kv) < fp {
-            let err = plan_with_costs_kv(&fleet, &strategy, &w, &costs, &kv).unwrap_err();
-            assert!(matches!(err, PlaceError::KvBudgetExceeded { .. }));
         }
     }
 }

@@ -9,57 +9,28 @@
 //! replays a trace through it.
 
 use crate::group::{ClusterCostModel, GroupSpec};
-use crate::place::{plan_with_costs, resolve_chip, shard_costs, PlaceError};
+use crate::place::{plan_with_costs, shard_costs, PlaceError};
 use crate::shard::ShardStrategy;
-use spatten_serve::{
-    fleet_engine_policy, ElasticSchedule, FleetReport, Policy, PolicyFleetEngine, PoolSpec,
-    SchedKnobs,
-};
+use spatten_serve::{fleet_engine_policy, FleetConfig, FleetReport, Policy, PolicyFleetEngine};
 use spatten_workloads::fleet::FleetSpec;
 use spatten_workloads::{Trace, Workload};
 
-/// A cluster of sharded chip groups plus serving parameters.
+/// A cluster of sharded chip groups under one scheduling policy. The
+/// groups serve co-located on a fixed roster with the defaults of
+/// [`FleetConfig::new`]: batch cap 8, 8-bit FC weights and the default
+/// `SchedKnobs`.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The chip groups (each one logical executor).
     pub groups: Vec<GroupSpec>,
     /// Scheduling policy across groups.
     pub policy: Policy,
-    /// Cap on jobs resident per group under continuous batching.
-    pub max_batch: usize,
-    /// FC weight bitwidth for end-to-end costs; `None` prices attention
-    /// only.
-    pub fc_weight_bits: Option<u32>,
-    /// Policy tuning knobs (see `spatten_serve::SchedKnobs`).
-    pub sched: SchedKnobs,
-    /// Disaggregated prefill/decode pools over the *groups* (one role
-    /// per group — a whole sharded group is a prefill or decode
-    /// specialist). `None` is co-located serving.
-    pub pools: Option<PoolSpec>,
-    /// Elasticity schedule over the *groups*: every index is a group
-    /// index, and a group-level leave drains (or revokes) the whole
-    /// sharded group at once — a maintenance window takes all of a
-    /// group's shards out together, never half a tensor-parallel slice.
-    /// Groups listed as joins or reserve must already be in
-    /// [`ClusterConfig::groups`] (they start cold and pay their
-    /// weight-load delay — every shard streams its slice, priced by the
-    /// slowest — when brought up). `None` is a fixed cluster.
-    pub elastic: Option<ElasticSchedule>,
 }
 
 impl ClusterConfig {
-    /// A cluster of `groups` under `policy` with the serving defaults of
-    /// `spatten_serve::FleetConfig::new` (8-bit FC, batch 8).
+    /// A cluster of `groups` under `policy`.
     pub fn new(groups: Vec<GroupSpec>, policy: Policy) -> Self {
-        Self {
-            groups,
-            policy,
-            max_batch: 8,
-            fc_weight_bits: Some(8),
-            sched: SchedKnobs::default(),
-            pools: None,
-            elastic: None,
-        }
+        Self { groups, policy }
     }
 
     /// Carves `fleet` into as many `strategy`-sharded groups as it can
@@ -145,34 +116,18 @@ pub fn simulate_cluster(cfg: &ClusterConfig, trace: &Trace) -> FleetReport {
 /// Panics if the cluster has no groups or inconsistent clocks.
 pub fn cluster_engine(cfg: &ClusterConfig) -> PolicyFleetEngine<ClusterCostModel> {
     let clock = cfg.clock_ghz();
-    let cost = ClusterCostModel::new(cfg.groups.clone(), cfg.fc_weight_bits);
+    let serving = FleetConfig::new(cfg.groups.len(), cfg.policy);
+    let cost = ClusterCostModel::new(cfg.groups.clone(), serving.fc_weight_bits);
     fleet_engine_policy(
         cost,
         cfg.groups.len(),
         cfg.policy,
-        &cfg.sched,
-        cfg.pools.clone(),
-        cfg.elastic.clone(),
-        cfg.max_batch,
+        &serving.sched,
+        None,
+        None,
+        serving.max_batch,
         clock,
     )
-}
-
-/// Convenience: a cluster carved from a [`FleetSpec`] by resolving every
-/// chip class, without sharding (one single-chip group per chip) — the
-/// degenerate baseline sharded sweeps compare against.
-pub fn unsharded_cluster(fleet: &FleetSpec, policy: Policy) -> ClusterConfig {
-    let groups = fleet
-        .chips
-        .iter()
-        .map(|&class| GroupSpec {
-            chips: vec![resolve_chip(class)],
-            strategy: ShardStrategy::tensor(1),
-            topology: fleet.topology,
-            link: fleet.link,
-        })
-        .collect();
-    ClusterConfig::new(groups, policy)
 }
 
 #[cfg(test)]
@@ -276,15 +231,5 @@ mod tests {
         let full = SpAttenConfig::default();
         assert!(cfg.groups[0].chips.iter().all(|c| *c == full));
         assert!(cfg.groups[1].chips.iter().all(|c| *c != full));
-    }
-
-    #[test]
-    fn unsharded_cluster_matches_fleet_size() {
-        let fleet = FleetSpec::mixed(1, 3);
-        let cfg = unsharded_cluster(&fleet, Policy::Fifo);
-        assert_eq!(cfg.groups.len(), 4);
-        let trace = decode_trace(40, 200.0, 9);
-        let report = simulate_cluster(&cfg, &trace);
-        assert_eq!(report.completed, 40);
     }
 }

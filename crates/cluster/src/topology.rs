@@ -6,15 +6,13 @@
 //! compute/DRAM scaling by paying transfer time on links an order of
 //! magnitude slower than local memory. The model here is deliberately at
 //! the same altitude as the rest of the perf stack — cycle-denominated
-//! analytic costs with explicit contention state, not a flit-level NoC:
+//! analytic costs over idle links, not a flit-level NoC:
 //!
 //! * a [`Topology`] gives hop counts (ring with shortest-arc routing, or
 //!   fully connected);
-//! * point-to-point transfers pay `hops × latency + bytes / bandwidth`
-//!   (cut-through: the payload pipelines behind the first hop's header);
-//! * an [`Interconnect`] additionally tracks per-directed-link busy time,
-//!   so concurrent transfers that share a link serialize
-//!   (contention-aware), while disjoint paths proceed in parallel;
+//! * an [`Interconnect`] prices point-to-point transfers at `hops ×
+//!   latency + bytes / bandwidth` (cut-through: the payload pipelines
+//!   behind the first hop's header);
 //! * collectives use the standard ring all-reduce decomposition
 //!   (reduce-scatter + all-gather: `2·(n−1)` steps of `bytes/n` chunks)
 //!   with a two-phase all-to-all variant on fully-connected fleets.
@@ -64,30 +62,18 @@ impl Topology {
     }
 }
 
-/// The interconnect of one chip group: topology, link timing, and
-/// per-directed-link contention state.
-#[derive(Debug, Clone)]
+/// The interconnect of one chip group: topology and link timing.
+#[derive(Debug, Clone, Copy)]
 pub struct Interconnect {
     topology: Topology,
     link: LinkSpec,
-    /// Cycle until which each directed ring link (`2 × chips`: clockwise
-    /// then counter-clockwise) or fully-connected pair link is busy.
-    busy_until: Vec<u64>,
 }
 
 impl Interconnect {
-    /// An idle interconnect.
+    /// The interconnect wiring `topology` with `link` timing.
     pub fn new(topology: Topology, link: LinkSpec) -> Self {
         assert!(link.bytes_per_cycle > 0, "link needs nonzero bandwidth");
-        let links = match topology.shape {
-            TopologySpec::Ring => 2 * topology.chips,
-            TopologySpec::FullyConnected => topology.chips * topology.chips,
-        };
-        Self {
-            topology,
-            link,
-            busy_until: vec![0; links],
-        }
+        Self { topology, link }
     }
 
     /// The topology.
@@ -95,7 +81,7 @@ impl Interconnect {
         self.topology
     }
 
-    /// Contention-free cycles to move `bytes` from `src` to `dst`:
+    /// Idle-link cycles to move `bytes` from `src` to `dst`:
     /// cut-through routing pays every hop's header latency up front, then
     /// the payload streams at link bandwidth.
     pub fn transfer_cycles(&self, src: usize, dst: usize, bytes: u64) -> u64 {
@@ -104,52 +90,6 @@ impl Interconnect {
             return 0;
         }
         hops * self.link.latency_cycles + bytes.div_ceil(self.link.bytes_per_cycle)
-    }
-
-    /// Directed-link ids along the route from `src` to `dst` (ring:
-    /// shortest arc, ties broken clockwise; fully connected: the pair
-    /// link).
-    fn route(&self, src: usize, dst: usize) -> Vec<usize> {
-        let n = self.topology.chips;
-        match self.topology.shape {
-            TopologySpec::FullyConnected => vec![src * n + dst],
-            TopologySpec::Ring => {
-                let clockwise = (dst + n - src) % n <= n / 2;
-                let mut links = Vec::new();
-                let mut at = src;
-                while at != dst {
-                    if clockwise {
-                        links.push(at); // clockwise link out of `at`
-                        at = (at + 1) % n;
-                    } else {
-                        links.push(n + at); // counter-clockwise link
-                        at = (at + n - 1) % n;
-                    }
-                }
-                links
-            }
-        }
-    }
-
-    /// Schedules a transfer of `bytes` from `src` to `dst` starting no
-    /// earlier than `now`, serializing on any busy link along the route.
-    /// Returns the completion cycle and marks the route busy until then.
-    pub fn transfer(&mut self, src: usize, dst: usize, bytes: u64, now: u64) -> u64 {
-        if src == dst {
-            return now;
-        }
-        let route = self.route(src, dst);
-        // Cut-through: the whole route must be claimed for the message's
-        // duration; it starts when the most-contended link frees up.
-        let start = route
-            .iter()
-            .map(|&l| self.busy_until[l])
-            .fold(now, u64::max);
-        let finish = start + self.transfer_cycles(src, dst, bytes);
-        for l in route {
-            self.busy_until[l] = finish;
-        }
-        finish
     }
 
     /// Analytic cycles for an all-reduce of `bytes` across all chips in
@@ -208,18 +148,6 @@ mod tests {
         assert!(far > near, "4 hops ({far}) vs 1 hop ({near})");
         let big = ic.transfer_cycles(0, 1, 1 << 20);
         assert!(big > 4 * near, "1 MiB ({big}) vs 4 KiB ({near})");
-    }
-
-    #[test]
-    fn contention_serializes_shared_links() {
-        let mut ic = ring(4);
-        // Two transfers over the same clockwise 0→1 link: the second waits.
-        let first = ic.transfer(0, 1, 1 << 16, 0);
-        let second = ic.transfer(0, 1, 1 << 16, 0);
-        assert!(second >= 2 * first, "second {second} vs first {first}");
-        // A disjoint route (2→3) is unaffected.
-        let disjoint = ic.transfer(2, 3, 1 << 16, 0);
-        assert_eq!(disjoint, first);
     }
 
     #[test]

@@ -71,7 +71,7 @@ use std::time::{Duration, Instant};
 use spatten_serve::json::{self, JsonObject, JsonValue};
 use spatten_serve::{
     fleet_engine, ns_to_cycles, ElasticSpec, FleetConfig, FleetEvents, FleetReport, Policy,
-    Rejection, SchedKnobs, TokenEvent, TokenSink,
+    Rejection, TokenEvent, TokenSink,
 };
 use spatten_workloads::{Benchmark, TraceRequest};
 
@@ -94,22 +94,24 @@ const MAX_HEADERS: usize = 100;
 /// The largest request body; a longer `Content-Length` is answered `413`.
 const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// How long an acceptor waits for a whole request — request line,
+/// headers and body — from the moment it accepts the connection. A
+/// client still sending when it passes is answered `408`.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
 /// How long a refused connection lingers to read what the client is
 /// still sending, so the refusal is not lost to a connection reset.
 const REFUSAL_LINGER: Duration = Duration::from_secs(1);
 
-/// Serving-fleet shape and bridge tuning for one server instance.
+/// Serving-fleet shape and bridge tuning for one server instance. The
+/// fleet serves [`Policy::SloAware`] with the default scheduler knobs,
+/// which turns the admission seam into live SLO-based rejection.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Base fleet size (Table-I chips).
     pub chips: usize,
     /// Resident-batch cap per chip.
     pub max_batch: usize,
-    /// Scheduling policy; the default is [`Policy::SloAware`], which
-    /// turns the admission seam into live SLO-based rejection.
-    pub policy: Policy,
-    /// Scheduler knobs (routing, stealing, preemption, KV layout).
-    pub sched: SchedKnobs,
     /// Virtual nanoseconds per wall nanosecond: 2.0 serves a simulated
     /// fleet at twice wall speed. Must be positive and finite.
     pub time_scale: f64,
@@ -175,12 +177,11 @@ impl ServerConfig {
     fn fleet(&self) -> FleetConfig {
         FleetConfig {
             max_batch: self.max_batch,
-            sched: self.sched,
             elastic: Some(ElasticSpec {
                 events: self.events.clone(),
                 ..ElasticSpec::default()
             }),
-            ..FleetConfig::new(self.chips, self.policy)
+            ..FleetConfig::new(self.chips, Policy::SloAware)
         }
     }
 }
@@ -190,8 +191,6 @@ impl Default for ServerConfig {
         Self {
             chips: 4,
             max_batch: 8,
-            policy: Policy::SloAware,
-            sched: SchedKnobs::default(),
             time_scale: 1.0,
             events: FleetEvents::default(),
             workers: 0,
@@ -571,13 +570,37 @@ enum Incoming {
     Closed,
 }
 
+/// A connection's reads, all ending by one deadline: each read blocks
+/// only for the time left, and a read the deadline cuts short fails with
+/// [`io::ErrorKind::TimedOut`].
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        match self.stream.read(buf) {
+            // A timed-out blocking read fails `WouldBlock` on Unix.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::ErrorKind::TimedOut.into()),
+            read => read,
+        }
+    }
+}
+
 /// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
-/// body). Every read is bounded — [`MAX_LINE_BYTES`] per line,
-/// [`MAX_HEADERS`] lines, [`MAX_BODY_BYTES`] of body — so no client can
-/// make an acceptor hold more than that, however long it keeps sending.
-fn read_request(stream: &TcpStream) -> io::Result<Incoming> {
+/// body) by `deadline`. Every read is bounded — [`MAX_LINE_BYTES`] per
+/// line, [`MAX_HEADERS`] lines, [`MAX_BODY_BYTES`] of body — so no client
+/// can make an acceptor hold more than that, and none can hold it past
+/// `deadline`, however slowly it sends.
+fn read_request(stream: &TcpStream, deadline: Instant) -> io::Result<Incoming> {
     const TOO_LARGE: &str = "Request Header Fields Too Large";
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline });
     let mut line = String::new();
     if !read_line(&mut reader, &mut line)? {
         return Ok(Incoming::Refused(431, TOO_LARGE, "request line over 8 KiB"));
@@ -653,12 +676,16 @@ fn refuse(stream: TcpStream, code: u16, reason: &str, error: &str) -> io::Result
 }
 
 fn handle_connection(stream: TcpStream, cmd: &Sender<Command>) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true)?;
-    let req = match read_request(&stream)? {
-        Incoming::Request(req) => req,
-        Incoming::Refused(code, reason, error) => return refuse(stream, code, reason, error),
-        Incoming::Closed => return Ok(()),
+    let req = match read_request(&stream, Instant::now() + REQUEST_DEADLINE) {
+        Ok(Incoming::Request(req)) => req,
+        Ok(Incoming::Refused(code, reason, error)) => return refuse(stream, code, reason, error),
+        Ok(Incoming::Closed) => return Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+            let error = "request not received within 5 s";
+            return refuse(stream, 408, "Request Timeout", error);
+        }
+        Err(e) => return Err(e),
     };
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/generate") => handle_generate(stream, cmd, &req.body),

@@ -13,7 +13,9 @@
 //! is written to `--metrics-out` (or stdout), and the exit code reports
 //! whether every exchange was well-formed.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use spatten_frontd::{selftest, Server, ServerConfig};
 use spatten_serve::{ChipJoin, ChipLeave, LeaveMode};
@@ -37,67 +39,43 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--bind" => match value("--bind") {
-                Ok(v) => bind = v,
-                Err(e) => return usage(&e),
-            },
-            "--chips" => match value("--chips").and_then(|v| v.parse().map_err(|e| format!("{e}")))
-            {
-                Ok(v) => cfg.chips = v,
-                Err(e) => return usage(&e),
-            },
-            "--max-batch" => {
-                match value("--max-batch").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                    Ok(v) => cfg.max_batch = v,
-                    Err(e) => return usage(&e),
-                }
-            }
-            "--time-scale" => {
-                match value("--time-scale").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                    Ok(v) => cfg.time_scale = v,
-                    Err(e) => return usage(&e),
-                }
-            }
-            "--workers" => {
-                match value("--workers").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                    Ok(v) => cfg.workers = v,
-                    Err(e) => return usage(&e),
-                }
-            }
-            "--drain" => match value("--drain").and_then(|v| parse_chip_at(&v)) {
-                Ok((chip, at_ns)) => cfg.events.leaves.push(ChipLeave {
-                    chip,
-                    at_ns,
-                    mode: LeaveMode::Drain,
+    while let Some(flag) = args.next() {
+        let parsed = match flag.as_str() {
+            "--bind" => value(&mut args, &flag).map(|v| bind = v),
+            "--chips" => value(&mut args, &flag).map(|v| cfg.chips = v),
+            "--max-batch" => value(&mut args, &flag).map(|v| cfg.max_batch = v),
+            "--time-scale" => value(&mut args, &flag).map(|v| cfg.time_scale = v),
+            "--workers" => value(&mut args, &flag).map(|v| cfg.workers = v),
+            "--drain" => value(&mut args, &flag)
+                .and_then(|v: String| parse_chip_at(&v))
+                .map(|(chip, at_ns)| {
+                    cfg.events.leaves.push(ChipLeave {
+                        chip,
+                        at_ns,
+                        mode: LeaveMode::Drain,
+                    })
                 }),
-                Err(e) => return usage(&e),
-            },
-            "--revoke" => match value("--revoke").and_then(|v| parse_revoke(&v)) {
-                Ok(leave) => cfg.events.leaves.push(leave),
-                Err(e) => return usage(&e),
-            },
-            "--join" => match value("--join").and_then(|v| parse_ms(&v)) {
-                Ok(at_ns) => cfg.events.joins.push(ChipJoin {
-                    chip_config: spatten_core::SpAttenConfig::default(),
-                    at_ns,
+            "--revoke" => value(&mut args, &flag)
+                .and_then(|v: String| parse_revoke(&v))
+                .map(|leave| cfg.events.leaves.push(leave)),
+            "--join" => value(&mut args, &flag)
+                .and_then(|v: String| parse_ms(&v))
+                .map(|at_ns| {
+                    cfg.events.joins.push(ChipJoin {
+                        chip_config: spatten_core::SpAttenConfig::default(),
+                        at_ns,
+                    })
                 }),
-                Err(e) => return usage(&e),
-            },
-            "--selftest" => run_selftest = true,
-            "--requests" => {
-                match value("--requests").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                    Ok(v) => requests = v,
-                    Err(e) => return usage(&e),
-                }
+            "--selftest" => {
+                run_selftest = true;
+                Ok(())
             }
-            "--metrics-out" => match value("--metrics-out") {
-                Ok(v) => metrics_out = Some(v),
-                Err(e) => return usage(&e),
-            },
-            other => return usage(&format!("unknown flag {other}")),
+            "--requests" => value(&mut args, &flag).map(|v| requests = v),
+            "--metrics-out" => value(&mut args, &flag).map(|v| metrics_out = Some(v)),
+            other => Err(format!("unknown flag {other}")),
+        };
+        if let Err(e) = parsed {
+            return usage(&e);
         }
     }
 
@@ -166,6 +144,15 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The value after `flag` on the command line, parsed as a `T`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("bad {flag} {v}: {e}"))
 }
 
 /// `CHIP@MS` → (chip index, virtual ns).

@@ -641,6 +641,68 @@ mod tests {
     }
 
     #[test]
+    fn a_trickling_client_gets_408_and_frees_its_acceptor() {
+        use crate::REQUEST_DEADLINE;
+        use std::net::Shutdown;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use std::time::Instant;
+
+        // One acceptor, and a client that sends its headers a byte at a
+        // time: every byte would restart a per-read timeout.
+        let server = Server::start(
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = server.addr();
+        let mut trickler = TcpStream::connect(addr).expect("connect");
+        trickler
+            .write_all(b"GET /healthz HTTP/1.1\r\n")
+            .expect("request line");
+        let stop = Arc::new(AtomicBool::new(false));
+        let drip = {
+            let mut socket = trickler.try_clone().expect("clone");
+            let stop = stop.clone();
+            // Bounded, so the test ends even if the server never answers.
+            thread::spawn(move || {
+                for _ in 0..100 {
+                    if stop.load(Ordering::SeqCst) || socket.write_all(b"X").is_err() {
+                        break;
+                    }
+                    thread::sleep(Duration::from_millis(200));
+                }
+            })
+        };
+        // A request sent behind it waits only for the deadline.
+        thread::sleep(Duration::from_secs(1));
+        let behind = thread::spawn(move || {
+            let sent = Instant::now();
+            (simple_get(addr, "/healthz").map(|r| r.0), sent.elapsed())
+        });
+        trickler
+            .set_read_timeout(Some(REQUEST_DEADLINE + Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut head = [0u8; 64];
+        let n = trickler.read(&mut head).expect("the trickler is answered");
+        stop.store(true, Ordering::SeqCst);
+        drip.join().expect("drip");
+        trickler.shutdown(Shutdown::Write).expect("hang up");
+        let head = String::from_utf8_lossy(&head[..n]);
+        assert!(head.starts_with("HTTP/1.1 408 "), "{head}");
+        let (code, waited) = behind.join().expect("request behind");
+        assert_eq!(code, Ok(200));
+        assert!(
+            waited <= REQUEST_DEADLINE + Duration::from_secs(2),
+            "/healthz waited {waited:?} behind the trickler"
+        );
+        assert_eq!(server.shutdown().completed, 0);
+    }
+
+    #[test]
     fn a_client_that_hangs_up_mid_stream_costs_only_its_stream() {
         let server = Server::start(
             ServerConfig {

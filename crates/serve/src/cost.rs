@@ -284,9 +284,8 @@ pub trait FleetCost {
     fn swap_bytes_cycles_on(&mut self, chip: usize, w: &Workload, bytes: u64) -> u64;
 
     /// Cycles to stream `w`'s model weights into `chip`'s HBM before it
-    /// can serve: the price of bringing a cold chip online
-    /// ([`ChipJoin`](crate::elastic::ChipJoin) model-load delay) or of a
-    /// cross-model placement evicting the resident weight plane. The
+    /// can serve: the price of bringing a cold chip online (the
+    /// [`ChipJoin`](crate::elastic::ChipJoin) model-load delay). The
     /// default prices [`model_weight_bytes`] at 8-bit storage through
     /// [`FleetCost::swap_bytes_cycles_on`], so any oracle with a real
     /// HBM drain model inherits a consistent weight-stream rate;
@@ -383,8 +382,7 @@ pub trait FleetCost {
 /// pair at the canonical 4× expansion (`8·hidden²` per layer). This is
 /// the byte count a cold chip must stream through HBM before it can
 /// serve its first request — the price [`FleetCost::weight_load_cycles_on`]
-/// charges a [`ChipJoin`](crate::elastic::ChipJoin) or a cross-model
-/// placement.
+/// charges a [`ChipJoin`](crate::elastic::ChipJoin).
 pub fn model_weight_bytes(m: &ModelConfig, bits: u32) -> u64 {
     (m.layers as u64)
         .saturating_mul(12)

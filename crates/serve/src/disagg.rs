@@ -107,13 +107,6 @@ impl PoolSpec {
         self.roles[c]
     }
 
-    /// Whether this spec actually splits the fleet: at least one
-    /// prefill-specialist to migrate *from* (all-`Flex` and all-`Decode`
-    /// layouts never fire a handoff).
-    pub fn migrates(&self) -> bool {
-        self.roles.contains(&PoolRole::Prefill)
-    }
-
     /// The decode pool: chips a finished prefill may migrate to
     /// (`Decode` and `Flex`), excluding `src` — staying put is not a
     /// migration.
@@ -231,13 +224,6 @@ mod tests {
         assert_eq!(targets, vec![1, 2]);
         let from_flex: Vec<usize> = spec.decode_targets(2).collect();
         assert_eq!(from_flex, vec![1]);
-        assert!(spec.migrates());
-        assert!(!PoolSpec::new(
-            vec![PoolRole::Flex; 3],
-            TopologySpec::Ring,
-            LinkSpec::default()
-        )
-        .migrates());
     }
 
     #[test]

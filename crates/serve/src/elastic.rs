@@ -1,14 +1,14 @@
-//! Elastic fleets: scheduled chip joins/leaves, priced model swaps, and
-//! the autoscaler seam.
+//! Elastic fleets: scheduled chip joins and leaves, and the
+//! threshold-hysteresis autoscaler.
 //!
 //! A serving fleet is not fixed hardware: chips drain for maintenance,
 //! spot capacity is revoked on short notice, and cold chips join after
 //! streaming their model weights into HBM. This module describes those
-//! events ([`FleetEvents`]) and the policy seam that emits them at run
-//! time ([`AutoscalePolicy`]); the engine (`crate::engine`) injects them
-//! into its event heap as first-class events, after the arrival stream's
-//! sequence numbers so an empty schedule is bit-for-bit identical to a
-//! fixed-fleet run.
+//! events ([`FleetEvents`]) and the autoscaler that emits them at run
+//! time ([`ThresholdHysteresis`]); the engine (`crate::engine`) injects
+//! them into its event heap as first-class events, after the arrival
+//! stream's sequence numbers so an empty schedule is bit-for-bit
+//! identical to a fixed-fleet run.
 //!
 //! Lifecycle of a chip, as the simulator tracks it ([`Availability`]):
 //!
@@ -37,9 +37,8 @@
 //! [`FleetCost::weight_load_cycles_on`]: crate::cost::FleetCost::weight_load_cycles_on
 
 use spatten_core::SpAttenConfig;
-use spatten_nn::ModelConfig;
 
-use crate::route::ChipLoad;
+use crate::route::{splitmix64, ChipLoad};
 
 /// How a [`ChipLeave`] takes its chip out of service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,17 +90,6 @@ pub struct FleetEvents {
     pub joins: Vec<ChipJoin>,
 }
 
-/// `splitmix64` output step — the same stateless generator the routing
-/// layer hashes with, chained here into a tiny schedule RNG so the serve
-/// crate stays free of a `rand` dependency.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FleetEvents {
     /// Whether the schedule contains no events.
     pub fn is_empty(&self) -> bool {
@@ -114,6 +102,8 @@ impl FleetEvents {
     /// with equal odds, and revocations carry a grace of up to an
     /// eighth of the horizon. Deterministic in `seed` — the property
     /// harness replays the same schedule against its fault-free twin.
+    /// The draws chain routing's `splitmix64` hash into a tiny RNG, so
+    /// the serve crate stays free of a `rand` dependency.
     pub fn seeded(seed: u64, chips: usize, horizon_ns: u64) -> Self {
         let mut state = splitmix64(seed ^ 0x000E_1A57_1C0F_1EE7_u64);
         let mut draw = |bound: u64| {
@@ -155,8 +145,7 @@ pub enum Availability {
 }
 
 /// The full elasticity scenario a [`FleetConfig`] carries: scheduled
-/// events, an autoscaler-managed reserve, and optional resident-model
-/// tags for the multi-model dimension.
+/// events and an autoscaler-managed reserve.
 ///
 /// [`FleetConfig`]: crate::sim::FleetConfig
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -170,15 +159,6 @@ pub struct ElasticSpec {
     /// Autoscaler configuration (`None` = no autoscaler; the reserve,
     /// if any, stays cold).
     pub autoscale: Option<AutoscaleSpec>,
-    /// Resident model per *base* chip, enabling the multi-model
-    /// dimension: admitting a job whose `workload.model` differs from
-    /// the chip's resident model first streams the new weight plane in
-    /// at [`FleetCost::weight_load_cycles_on`] cost and retags the
-    /// chip. `None` (the default) disables model tracking entirely —
-    /// admission is priced exactly as in a fixed single-model fleet.
-    ///
-    /// [`FleetCost::weight_load_cycles_on`]: crate::cost::FleetCost::weight_load_cycles_on
-    pub models: Option<Vec<ModelConfig>>,
 }
 
 impl ElasticSpec {
@@ -192,9 +172,8 @@ impl ElasticSpec {
     }
 
     /// Lowers the scenario onto a roster of `base` pre-existing chips:
-    /// joins become roster indices `base..`, the reserve follows them,
-    /// and model tags are extended with cold (`None`) entries for every
-    /// appended chip.
+    /// joins become roster indices `base..`, and the reserve follows
+    /// them.
     pub fn lower(&self, base: usize) -> ElasticSchedule {
         for leave in &self.events.leaves {
             assert!(
@@ -202,14 +181,6 @@ impl ElasticSpec {
                 "leave targets chip {} beyond the {}-chip roster",
                 leave.chip,
                 base + self.events.joins.len() + self.reserve.len()
-            );
-        }
-        if let Some(models) = &self.models {
-            assert_eq!(
-                models.len(),
-                base,
-                "model tags cover the base roster: {} tags for {base} chips",
-                models.len()
             );
         }
         let joins = self
@@ -222,25 +193,18 @@ impl ElasticSpec {
         let reserve = (0..self.reserve.len())
             .map(|i| base + self.events.joins.len() + i)
             .collect();
-        let models = self.models.as_ref().map(|tags| {
-            let mut per_chip: Vec<Option<ModelConfig>> = tags.iter().copied().map(Some).collect();
-            per_chip.resize(base + self.events.joins.len() + self.reserve.len(), None);
-            per_chip
-        });
         ElasticSchedule {
             leaves: self.events.leaves.clone(),
             joins,
             reserve,
             autoscale: self.autoscale,
-            models,
         }
     }
 }
 
 /// An [`ElasticSpec`] resolved against a concrete roster: every event
-/// and reserve entry is a chip index, so the simulator (and the cluster
-/// layer, whose "chips" are whole groups) consumes it without knowing
-/// chip configurations.
+/// and reserve entry is a chip index, so the simulator consumes it
+/// without knowing chip configurations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ElasticSchedule {
     /// Scheduled departures, by roster index.
@@ -253,27 +217,10 @@ pub struct ElasticSchedule {
     pub reserve: Vec<usize>,
     /// Autoscaler configuration.
     pub autoscale: Option<AutoscaleSpec>,
-    /// Initial resident model per roster chip (`None` entries = cold
-    /// chip, first admission loads weights if tracking is on). `None`
-    /// disables model tracking entirely.
-    pub models: Option<Vec<Option<ModelConfig>>>,
-}
-
-impl ElasticSchedule {
-    /// Whether the schedule changes nothing: no events, no reserve, no
-    /// autoscaler, no model tracking. A static schedule reproduces the
-    /// fixed-fleet simulation bit for bit.
-    pub fn is_static(&self) -> bool {
-        self.leaves.is_empty()
-            && self.joins.is_empty()
-            && self.reserve.is_empty()
-            && self.autoscale.is_none()
-            && self.models.is_none()
-    }
 }
 
 /// Threshold-hysteresis autoscaler configuration (plain data; feeds
-/// [`ThresholdHysteresis`], the default [`AutoscalePolicy`]).
+/// [`ThresholdHysteresis`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleSpec {
     /// Observation window, nanoseconds: the policy sees fleet load and
@@ -310,7 +257,7 @@ impl Default for AutoscaleSpec {
 }
 
 impl AutoscaleSpec {
-    /// The default threshold-hysteresis policy over this configuration.
+    /// The threshold-hysteresis autoscaler over this configuration.
     pub fn build(&self) -> ThresholdHysteresis {
         ThresholdHysteresis {
             spec: *self,
@@ -320,8 +267,8 @@ impl AutoscaleSpec {
     }
 }
 
-/// What an [`AutoscalePolicy`] observes each window: per-chip loads (the
-/// same [`ChipLoad`] view routing sees), the shared-queue depth, and the
+/// What the autoscaler observes each window: per-chip loads (the same
+/// [`ChipLoad`] view routing sees), the shared-queue depth, and the
 /// actionable bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetLoadView<'a> {
@@ -342,28 +289,19 @@ pub struct FleetLoadView<'a> {
     pub max_online: usize,
 }
 
-/// The autoscaler seam: observes fleet load once per window and returns
-/// the online chip count it wants. The simulator applies the delta
+/// The autoscaler: observes fleet load once per window and returns the
+/// online chip count it wants, and the simulator applies the delta
 /// against the reserve — bringing up the lowest-index offline reserve
 /// chips (each paying its weight-load delay) or draining the
-/// highest-index online ones. Policies are deterministic functions of
-/// their observations, so autoscaled runs replay bit-for-bit.
-pub trait AutoscalePolicy: std::fmt::Debug {
-    /// Report label.
-    fn name(&self) -> &'static str;
-
-    /// Desired online chip count for the next window, clamped by the
-    /// caller to `[view.min_online, view.max_online]`.
-    fn target_online(&mut self, now: u64, view: FleetLoadView<'_>) -> usize;
-}
-
-/// The default [`AutoscalePolicy`]: scale up one chip when mean backlog
+/// highest-index online ones. It scales up one chip when mean backlog
 /// per online chip crosses the high threshold (or the shared queue runs
-/// deeper than four jobs per chip), scale down one chip only after
+/// deeper than four jobs per chip), scales down one chip only after
 /// [`AutoscaleSpec::scale_down_windows`] consecutive low windows, and
-/// hold still for [`AutoscaleSpec::cooldown_windows`] after any action.
+/// holds still for [`AutoscaleSpec::cooldown_windows`] after any action.
 /// The asymmetry — eager up, reluctant down — is the hysteresis that
-/// keeps an oscillating load from flapping the reserve.
+/// keeps an oscillating load from flapping the reserve. It is a
+/// deterministic function of its observations, so autoscaled runs replay
+/// bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct ThresholdHysteresis {
     spec: AutoscaleSpec,
@@ -371,12 +309,10 @@ pub struct ThresholdHysteresis {
     low_streak: u32,
 }
 
-impl AutoscalePolicy for ThresholdHysteresis {
-    fn name(&self) -> &'static str {
-        "threshold-hysteresis"
-    }
-
-    fn target_online(&mut self, _now: u64, view: FleetLoadView<'_>) -> usize {
+impl ThresholdHysteresis {
+    /// Desired online chip count for the next window, clamped by the
+    /// caller to `[view.min_online, view.max_online]`.
+    pub fn target_online(&mut self, view: FleetLoadView<'_>) -> usize {
         let online = view.online.max(view.min_online).max(1);
         if self.cooldown > 0 {
             self.cooldown -= 1;
@@ -421,12 +357,9 @@ pub struct ElasticChipStats {
     /// fleet accrues the whole makespan on every chip; summed over the
     /// roster this is the chip-cycle cost an autoscaler economizes.
     pub online_cycles: u64,
-    /// Cycles spent streaming model weights into HBM: join model-load
-    /// delays plus cross-model placement swaps.
+    /// Cycles spent streaming model weights into HBM: the model-load
+    /// delay of every join.
     pub weight_load_cycles: u64,
-    /// Cross-model placements that had to swap the resident weight
-    /// plane.
-    pub model_swaps: u64,
     /// Completed departures (drains finished plus revocations executed).
     pub leaves: u64,
     /// Jobs an executed revocation displaced off this chip (residents
@@ -495,14 +428,11 @@ mod tests {
             },
             reserve: vec![SpAttenConfig::eighth(); 2],
             autoscale: Some(AutoscaleSpec::default()),
-            models: None,
         };
         let sched = spec.lower(4);
         assert_eq!(sched.joins, vec![(4, 9)]);
         assert_eq!(sched.reserve, vec![5, 6]);
         assert_eq!(spec.extra_configs().len(), 3);
-        assert!(!sched.is_static());
-        assert!(ElasticSchedule::default().is_static());
     }
 
     #[test]
@@ -511,17 +441,17 @@ mod tests {
         let mut policy = spec.build();
         // One hot window scales up immediately...
         let hot = vec![load(spec.high_backlog_cycles * 2); 2];
-        assert_eq!(policy.target_online(0, view(&hot, 2, 4)), 3);
+        assert_eq!(policy.target_online(view(&hot, 2, 4)), 3);
         // ...then cooldown holds even under continued heat.
-        assert_eq!(policy.target_online(1, view(&hot, 3, 4)), 3);
-        assert_eq!(policy.target_online(2, view(&hot, 3, 4)), 3);
+        assert_eq!(policy.target_online(view(&hot, 3, 4)), 3);
+        assert_eq!(policy.target_online(view(&hot, 3, 4)), 3);
         // Quiet windows must persist for scale_down_windows before one
         // chip drains.
         let quiet = vec![load(0); 3];
         for _ in 0..spec.scale_down_windows - 1 {
-            assert_eq!(policy.target_online(3, view(&quiet, 3, 4)), 3);
+            assert_eq!(policy.target_online(view(&quiet, 3, 4)), 3);
         }
-        assert_eq!(policy.target_online(4, view(&quiet, 3, 4)), 2);
+        assert_eq!(policy.target_online(view(&quiet, 3, 4)), 2);
     }
 
     #[test]
@@ -537,7 +467,7 @@ mod tests {
         // it ratchets up to the ceiling and stays.
         for tick in 0..20 {
             let loads = if tick % 2 == 0 { &hot } else { &quiet };
-            online = policy.target_online(tick, view(loads, online, 4));
+            online = policy.target_online(view(loads, online, 4));
             targets.push(online);
         }
         assert!(targets.windows(2).all(|w| w[1] >= w[0]), "{targets:?}");

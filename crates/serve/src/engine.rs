@@ -115,7 +115,7 @@ use crate::chip::Chip;
 use crate::cost::{CostModel, FleetCost};
 use crate::disagg::PoolSpec;
 use crate::elastic::{
-    AutoscalePolicy, Availability, ElasticChipStats, ElasticSchedule, FleetLoadView, LeaveMode,
+    Availability, ElasticChipStats, ElasticSchedule, FleetLoadView, LeaveMode, ThresholdHysteresis,
 };
 use crate::kv::{ChipKv, KvSpec};
 use crate::metrics::{ChipStats, FleetReport};
@@ -127,7 +127,6 @@ use crate::scheduler::{
     StealSpec,
 };
 use spatten_core::StepCost;
-use spatten_nn::ModelConfig;
 use spatten_workloads::fleet::LinkSpec;
 use spatten_workloads::{PoolRole, Trace, TraceRequest, Workload};
 
@@ -441,15 +440,8 @@ struct ElasticState {
     /// bring up the lowest-index offline entry, scale-downs drain the
     /// highest-index online one.
     reserve: Vec<usize>,
-    /// Autoscaler: observation window in cycles, plus the policy
-    /// ([`AutoscalePolicy`] — the seam custom scaling logic plugs into).
-    autoscale: Option<(u64, Box<dyn AutoscalePolicy>)>,
-    /// Resident model per chip when model tracking is on.
-    resident_model: Vec<Option<ModelConfig>>,
-    /// Whether cross-model placements are priced
-    /// ([`crate::elastic::ElasticSpec::models`] was set). Off, admission
-    /// costs exactly match a fixed fleet.
-    track_models: bool,
+    /// Autoscaler: observation window in cycles, plus the policy.
+    autoscale: Option<(u64, ThresholdHysteresis)>,
     /// Revocation cutoffs that fired while the chip's round was in
     /// flight; executed at that round's end (the in-flight tokens are
     /// kept — grace is generous, never clawed back).
@@ -466,8 +458,8 @@ struct ElasticState {
     stats: Vec<ElasticChipStats>,
     /// Reference workload for pricing weight loads on joins, set from
     /// the first request the engine sees (every chip serves the same
-    /// weight plane unless model tracking says otherwise). `None` — no
-    /// request yet — makes joins instantaneous.
+    /// weight plane). `None` — no request yet — makes joins
+    /// instantaneous.
     weight_ref: Option<Workload>,
 }
 
@@ -480,24 +472,13 @@ impl ElasticState {
         for &chip in &schedule.reserve {
             avail[chip] = Availability::Offline;
         }
-        let resident_model = match &schedule.models {
-            Some(tags) => {
-                assert_eq!(tags.len(), chips, "model tags must cover the roster");
-                tags.clone()
-            }
-            None => vec![None; chips],
-        };
         Self {
             avail,
             reserve: schedule.reserve.clone(),
-            autoscale: schedule.autoscale.as_ref().map(|spec| {
-                (
-                    ns_to_cycles(clock_ghz, spec.window_ns).max(1),
-                    Box::new(spec.build()) as Box<dyn AutoscalePolicy>,
-                )
-            }),
-            resident_model,
-            track_models: schedule.models.is_some(),
+            autoscale: schedule
+                .autoscale
+                .as_ref()
+                .map(|spec| (ns_to_cycles(clock_ghz, spec.window_ns).max(1), spec.build())),
             revoke_pending: vec![false; chips],
             join_pending: vec![false; chips],
             inbound_handoffs: vec![0; chips],
@@ -714,10 +695,10 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         }
     }
 
-    /// Sets the reference workload that prices elastic joins and model
-    /// swaps. Normally taken from the first injected request; a live
-    /// front-end that knows its model up front calls this so a join
-    /// firing before the first request is priced correctly.
+    /// Sets the reference workload that prices elastic joins. Normally
+    /// taken from the first injected request; a live front-end that
+    /// knows its model up front calls this so a join firing before the
+    /// first request is priced correctly.
     pub fn set_weight_ref(&mut self, workload: Workload) {
         self.elastic.weight_ref = Some(workload);
     }
@@ -1089,24 +1070,12 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
     }
 
     /// Applies one admission decision: sheds rejections, admits the rest
-    /// onto the chip (mapping them into its KV store). Under model
-    /// tracking, a job whose model differs from the chip's resident
-    /// weight plane first streams its weights in — the swap price of
-    /// cross-model placement.
+    /// onto the chip (mapping them into its KV store).
     fn admit_all(&mut self, chip_idx: usize, decision: Admission, now: u64) {
         for job in decision.rejected {
             self.on_rejection(job, now);
         }
         for job in decision.jobs {
-            if self.elastic.track_models
-                && self.elastic.resident_model[chip_idx] != Some(job.workload.model)
-            {
-                let cycles = self.cost.weight_load_cycles_on(chip_idx, &job.workload);
-                self.chips[chip_idx].charge_transfer_cycles(cycles);
-                self.elastic.stats[chip_idx].weight_load_cycles += cycles;
-                self.elastic.stats[chip_idx].model_swaps += 1;
-                self.elastic.resident_model[chip_idx] = Some(job.workload.model);
-            }
             self.chips[chip_idx].admit(&mut self.cost, job, now);
         }
     }
@@ -1373,10 +1342,6 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         self.chips[chip_idx].rejoin();
         self.elastic.online_since[chip_idx] = now;
         self.elastic.stats[chip_idx].joins += 1;
-        if self.elastic.track_models {
-            self.elastic.resident_model[chip_idx] =
-                self.elastic.weight_ref.as_ref().map(|w| w.model);
-        }
         self.kick(chip_idx, now);
     }
 
@@ -1414,9 +1379,7 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             max_online,
         };
         let (_, policy) = self.elastic.autoscale.as_mut().expect("checked above");
-        let target = policy
-            .target_online(now, view)
-            .clamp(min_online, max_online);
+        let target = policy.target_online(view).clamp(min_online, max_online);
         if target > online {
             let mut need = target - online;
             let reserve = self.elastic.reserve.clone();

@@ -65,6 +65,11 @@ use spatten_workloads::Workload;
 use std::cell::Cell;
 use std::collections::HashMap;
 
+/// The paged allocator's block size: 16 KiB — fine enough that the
+/// pruning ramp frees blocks every few decode steps on the default GPT-2
+/// class, coarse enough that a page table stays tens of entries long.
+pub const KV_BLOCK_BYTES: u64 = 16 * 1024;
+
 /// How a chip's KV SRAM budget is carved up — the `SchedKnobs` knob
 /// selecting the layout of every chip's [`ChipKv`]: one contiguous
 /// reservation per job (the default), or the paged allocator.
@@ -73,29 +78,22 @@ pub enum KvSpec {
     /// One contiguous reservation per job (the historical model).
     #[default]
     Contiguous,
-    /// Fixed-size paged allocation with prefix sharing and pruning-aware
-    /// reclaim.
-    Paged {
-        /// Block size in KiB. Smaller blocks reclaim more of the pruning
-        /// curve; larger blocks keep page tables short.
-        block_kib: u32,
-    },
+    /// Paged allocation in [`KV_BLOCK_BYTES`] blocks with prefix sharing
+    /// and pruning-aware reclaim.
+    Paged,
 }
 
 impl KvSpec {
-    /// The default paged configuration: 16 KiB blocks — fine enough that
-    /// the pruning ramp frees blocks every few decode steps on the
-    /// default GPT-2 class, coarse enough that a page table stays tens of
-    /// entries long.
+    /// The paged layout, [`KvSpec::Paged`].
     pub fn paged() -> Self {
-        KvSpec::Paged { block_kib: 16 }
+        KvSpec::Paged
     }
 
     /// Report label.
     pub fn name(&self) -> &'static str {
         match self {
             KvSpec::Contiguous => "contiguous",
-            KvSpec::Paged { .. } => "paged",
+            KvSpec::Paged => "paged",
         }
     }
 
@@ -103,7 +101,7 @@ impl KvSpec {
     pub fn block_bytes(&self) -> Option<u64> {
         match self {
             KvSpec::Contiguous => None,
-            KvSpec::Paged { block_kib } => Some(u64::from(*block_kib).max(1) * 1024),
+            KvSpec::Paged => Some(KV_BLOCK_BYTES),
         }
     }
 }

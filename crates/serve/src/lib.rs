@@ -62,10 +62,8 @@
 //!   `FleetConfig::elastic`): scheduled chip drains and spot-style
 //!   revocations (residents migrate through the preemption machinery,
 //!   losing no work), cold joins priced by weight streaming through
-//!   [`FleetCost::weight_load_cycles_on`], resident-model tags that
-//!   charge cross-model placements the weight-swap price, and the
-//!   [`AutoscalePolicy`] seam with a threshold-hysteresis default
-//!   against a reserve fleet.
+//!   [`FleetCost::weight_load_cycles_on`], and a threshold-hysteresis
+//!   autoscaler ([`ThresholdHysteresis`]) over a reserve fleet.
 //! * [`engine`] — the discrete-event fleet simulator, [`FleetEngine`]:
 //!   the one event loop, generic over the five seams, so every policy
 //!   runs through it. It is resumable — an explicit `inject` /
@@ -125,8 +123,8 @@ pub use cost::{
 };
 pub use disagg::{PoolAwareRouting, PoolSpec};
 pub use elastic::{
-    AutoscalePolicy, AutoscaleSpec, Availability, ChipJoin, ChipLeave, ElasticChipStats,
-    ElasticSchedule, ElasticSpec, FleetEvents, FleetLoadView, LeaveMode, ThresholdHysteresis,
+    AutoscaleSpec, Availability, ChipJoin, ChipLeave, ElasticChipStats, ElasticSchedule,
+    ElasticSpec, FleetEvents, FleetLoadView, LeaveMode, ThresholdHysteresis,
 };
 pub use engine::{
     fleet_engine_policy, ns_to_cycles, FleetEngine, PolicyFleetEngine, TokenEvent, TokenSink,

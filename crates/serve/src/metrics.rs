@@ -368,7 +368,6 @@ impl FleetReport {
                 .u64("kv_cache_evicted_blocks", c.kv.cache_evicted_blocks)
                 .u64("online_cycles", c.elastic.online_cycles)
                 .u64("weight_load_cycles", c.elastic.weight_load_cycles)
-                .u64("model_swaps", c.elastic.model_swaps)
                 .u64("leaves", c.elastic.leaves)
                 .u64("revoked_jobs", c.elastic.revoked_jobs)
                 .u64("joins", c.elastic.joins)

@@ -346,25 +346,16 @@ impl RoutingPolicy for FastestChipRouting {
 
 /// Churn-aware routing: the fastest-chip completion estimate, inflated
 /// by the target chip's recent eviction churn — `estimate × (1 +
-/// churn_weight × recent_evictions)`. A chip that keeps preempting
-/// residents is a bad home for work that can be preempted: every
-/// eviction costs two KV swaps and a requeue, none of which the plain
-/// completion estimate prices. Routing low-priority traffic around those
-/// hotspots leaves them to the high-priority work that causes the churn
-/// (and is never its victim). With no churn anywhere it is exactly
+/// recent_evictions)`, so one recent eviction doubles the chip's
+/// apparent backlog. A chip that keeps preempting residents is a bad
+/// home for work that can be preempted: every eviction costs two KV
+/// swaps and a requeue, none of which the plain completion estimate
+/// prices. Routing low-priority traffic around those hotspots leaves
+/// them to the high-priority work that causes the churn (and is never
+/// its victim). With no churn anywhere it is exactly
 /// [`FastestChipRouting`]. Ties break toward the lower chip index.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnAwareRouting {
-    /// Backlog inflation per unit of decayed eviction churn (1.0 ≈ one
-    /// recent eviction doubles the chip's apparent backlog).
-    pub churn_weight: f64,
-}
-
-impl Default for ChurnAwareRouting {
-    fn default() -> Self {
-        Self { churn_weight: 1.0 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChurnAwareRouting;
 
 impl RoutingPolicy for ChurnAwareRouting {
     fn name(&self) -> &'static str {
@@ -385,7 +376,7 @@ impl RoutingPolicy for ChurnAwareRouting {
             .iter()
             .map(|&c| {
                 completion_estimate(job, cost, loads, c) as f64
-                    * (1.0 + self.churn_weight * loads[c].recent_evictions.max(0.0))
+                    * (1.0 + loads[c].recent_evictions.max(0.0))
             })
             .collect();
         (0..eligible.len())
@@ -454,8 +445,9 @@ impl RoutingPolicy for LeastKvLoadedRouting {
 pub struct HashAffinityRouting;
 
 /// SplitMix64 — a tiny, well-mixed integer hash (deterministic across
-/// runs, unlike `std`'s `RandomState`).
-fn splitmix64(mut x: u64) -> u64 {
+/// runs, unlike `std`'s `RandomState`). The elastic layer's seeded fault
+/// schedules draw from it too.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -639,7 +631,7 @@ mod tests {
             Some(1)
         );
         assert_eq!(
-            ChurnAwareRouting::default().route(&job(0, None), &mut cost, &loads, 0),
+            ChurnAwareRouting.route(&job(0, None), &mut cost, &loads, 0),
             Some(1)
         );
         // All-decode fleet: fall back to the plain fastest chip.
@@ -653,7 +645,7 @@ mod tests {
     #[test]
     fn churn_aware_routes_around_preemption_hotspots() {
         let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
-        let mut r = ChurnAwareRouting::default();
+        let mut r = ChurnAwareRouting;
         let mut loads = vec![idle(1000), idle(1000)];
         // Equal backlog: index tie-break picks chip 0...
         assert_eq!(r.route(&job(0, None), &mut cost, &loads, 0), Some(0));
@@ -735,7 +727,7 @@ mod tests {
             Some(1)
         );
         assert_eq!(
-            ChurnAwareRouting::default().route(&job(0, None), &mut cost, &loads, 0),
+            ChurnAwareRouting.route(&job(0, None), &mut cost, &loads, 0),
             Some(1)
         );
         assert_eq!(

@@ -231,7 +231,7 @@ impl RouteSpec {
             RouteSpec::SharedQueue => Box::new(SharedQueueRouting),
             RouteSpec::FastestChip => Box::new(FastestChipRouting::default()),
             RouteSpec::FastestStealAware => Box::new(FastestChipRouting::steal_aware()),
-            RouteSpec::ChurnAware => Box::new(ChurnAwareRouting::default()),
+            RouteSpec::ChurnAware => Box::new(ChurnAwareRouting),
             RouteSpec::LeastKvLoaded => Box::new(LeastKvLoadedRouting),
             RouteSpec::HashAffinity => Box::new(HashAffinityRouting),
             RouteSpec::PoolAware => Box::new(crate::disagg::PoolAwareRouting),

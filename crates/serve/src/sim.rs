@@ -49,12 +49,11 @@ pub struct FleetConfig {
     /// [`FleetCost::handoff_cycles_on`](crate::cost::FleetCost::handoff_cycles_on).
     pub pools: Option<PoolSpec>,
     /// Elasticity scenario ([`crate::elastic`]): scheduled chip
-    /// joins/leaves, an autoscaler-managed reserve, and optional
-    /// resident-model tags. `None` — the default — is a fixed fleet,
-    /// bit-for-bit the pre-elasticity behavior (an empty
-    /// [`ElasticSpec`] is equivalent). Scheduled joins and the reserve
-    /// extend the roster past `chips`; leave events index into that
-    /// full roster.
+    /// joins/leaves and an autoscaler-managed reserve. `None` — the
+    /// default — is a fixed fleet, bit-for-bit the pre-elasticity
+    /// behavior (an empty [`ElasticSpec`] is equivalent). Scheduled joins
+    /// and the reserve extend the roster past `chips`; leave events index
+    /// into that full roster.
     pub elastic: Option<ElasticSpec>,
 }
 
@@ -1174,63 +1173,5 @@ mod tests {
             let busy_p: Vec<u64> = parallel.chip_stats.iter().map(|c| c.busy_cycles).collect();
             assert_eq!(busy, busy_p, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn multi_model_placement_pays_the_swap_price_once_per_switch() {
-        use spatten_nn::ModelKind;
-        // Model tracking on a single-model trace with matching tags: no
-        // swap ever fires, and the run is bit-identical to tracking off.
-        // (The mixed trace carries two models — BERT and GPT-2 classes —
-        // so a single-model decode trace is used here.)
-        let trace = TraceSpec::gpt2_decode(
-            ArrivalSpec::OpenPoisson {
-                rate_rps: 1500.0,
-                requests: 100,
-            },
-            241,
-        )
-        .generate();
-        let model = match &trace {
-            Trace::Open { requests } => requests[0].workload.model,
-            Trace::Closed { .. } => unreachable!(),
-        };
-        let mut tagged = FleetConfig::new(2, Policy::ContinuousBatching);
-        tagged.elastic = Some(ElasticSpec {
-            models: Some(vec![model; 2]),
-            ..ElasticSpec::default()
-        });
-        let matched = simulate_fleet(&tagged, &trace);
-        let plain = simulate_fleet(&FleetConfig::new(2, Policy::ContinuousBatching), &trace);
-        assert_eq!(matched.completions, plain.completions);
-        for chip in &matched.chip_stats {
-            assert_eq!(
-                chip.elastic.model_swaps, 0,
-                "resident model already matches"
-            );
-        }
-        // Cold tags (a different resident model) pay exactly one weight
-        // load per chip that serves work, then stay retagged.
-        let mut cold = FleetConfig::new(2, Policy::ContinuousBatching);
-        let mut other = model;
-        other.kind = match model.kind {
-            ModelKind::Gpt2 => ModelKind::Bert,
-            ModelKind::Bert => ModelKind::Gpt2,
-        };
-        cold.elastic = Some(ElasticSpec {
-            models: Some(vec![other; 2]),
-            ..ElasticSpec::default()
-        });
-        let swapped = simulate_fleet(&cold, &trace);
-        assert_eq!(swapped.completed, 100);
-        for chip in &swapped.chip_stats {
-            let served = swapped.completions.iter().any(|c| c.chip == chip.id);
-            if served {
-                assert_eq!(chip.elastic.model_swaps, 1, "chip {}", chip.id);
-                assert!(chip.elastic.weight_load_cycles > 0);
-            }
-        }
-        // The swap delay is real: busier chips, later makespan.
-        assert!(swapped.makespan_cycles >= matched.makespan_cycles);
     }
 }
