@@ -103,6 +103,10 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 /// still sending, so the refusal is not lost to a connection reset.
 const REFUSAL_LINGER: Duration = Duration::from_secs(1);
 
+/// How long a `408` lingers instead: its client has had the whole
+/// [`REQUEST_DEADLINE`], and must not hold the acceptor much past it.
+const TIMEOUT_LINGER: Duration = Duration::from_millis(100);
+
 /// Serving-fleet shape and bridge tuning for one server instance. The
 /// fleet serves [`Policy::SloAware`] with the default scheduler knobs,
 /// which turns the admission seam into live SLO-based rejection.
@@ -656,15 +660,21 @@ fn read_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
     Ok(n < MAX_LINE_BYTES || line.ends_with('\n'))
 }
 
-/// Answers a refused request, then lingers for at most
-/// [`REFUSAL_LINGER`], reading and dropping whatever the client is still
-/// sending: closing with those bytes unread would reset the connection
-/// before the client reads the answer.
-fn refuse(stream: TcpStream, code: u16, reason: &str, error: &str) -> io::Result<()> {
+/// Answers a refused request, then lingers for at most `linger`, reading
+/// and dropping whatever the client is still sending: closing with those
+/// bytes unread would reset the connection before the client reads the
+/// answer.
+fn refuse(
+    stream: TcpStream,
+    code: u16,
+    reason: &str,
+    error: &str,
+    linger: Duration,
+) -> io::Result<()> {
     let body = JsonObject::new().str("error", error).build();
     respond_json(stream.try_clone()?, code, reason, &body)?;
     stream.shutdown(Shutdown::Write)?;
-    let deadline = Instant::now() + REFUSAL_LINGER;
+    let deadline = Instant::now() + linger;
     let mut scratch = [0u8; 4096];
     while let Some(left) = deadline.checked_duration_since(Instant::now()) {
         stream.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
@@ -679,11 +689,13 @@ fn handle_connection(stream: TcpStream, cmd: &Sender<Command>) -> io::Result<()>
     stream.set_nodelay(true)?;
     let req = match read_request(&stream, Instant::now() + REQUEST_DEADLINE) {
         Ok(Incoming::Request(req)) => req,
-        Ok(Incoming::Refused(code, reason, error)) => return refuse(stream, code, reason, error),
+        Ok(Incoming::Refused(code, reason, error)) => {
+            return refuse(stream, code, reason, error, REFUSAL_LINGER)
+        }
         Ok(Incoming::Closed) => return Ok(()),
         Err(e) if e.kind() == io::ErrorKind::TimedOut => {
             let error = "request not received within 5 s";
-            return refuse(stream, 408, "Request Timeout", error);
+            return refuse(stream, 408, "Request Timeout", error, TIMEOUT_LINGER);
         }
         Err(e) => return Err(e),
     };

@@ -640,16 +640,18 @@ mod tests {
         assert_eq!(server.shutdown().completed, 3);
     }
 
-    #[test]
-    fn a_trickling_client_gets_408_and_frees_its_acceptor() {
+    /// Runs a one-acceptor server and a client that sends its headers a
+    /// byte every 200 ms — every byte would restart a per-read timeout —
+    /// then a `/healthz` 1 s later. The trickler stops once answered, or
+    /// with `keep_dripping` goes on until the server hangs up. Returns the
+    /// start of the trickler's answer and how long the `/healthz` waited.
+    fn trickle_ahead_of_healthz(keep_dripping: bool) -> (String, Duration) {
         use crate::REQUEST_DEADLINE;
         use std::net::Shutdown;
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         use std::time::Instant;
 
-        // One acceptor, and a client that sends its headers a byte at a
-        // time: every byte would restart a per-read timeout.
         let server = Server::start(
             ServerConfig {
                 workers: 1,
@@ -688,18 +690,38 @@ mod tests {
             .expect("read timeout");
         let mut head = [0u8; 64];
         let n = trickler.read(&mut head).expect("the trickler is answered");
-        stop.store(true, Ordering::SeqCst);
-        drip.join().expect("drip");
-        trickler.shutdown(Shutdown::Write).expect("hang up");
-        let head = String::from_utf8_lossy(&head[..n]);
-        assert!(head.starts_with("HTTP/1.1 408 "), "{head}");
+        if !keep_dripping {
+            stop.store(true, Ordering::SeqCst);
+            trickler.shutdown(Shutdown::Write).expect("hang up");
+        }
         let (code, waited) = behind.join().expect("request behind");
         assert_eq!(code, Ok(200));
+        stop.store(true, Ordering::SeqCst);
+        drip.join().expect("drip");
+        assert_eq!(server.shutdown().completed, 0);
+        (String::from_utf8_lossy(&head[..n]).into_owned(), waited)
+    }
+
+    #[test]
+    fn a_trickling_client_gets_408_and_frees_its_acceptor() {
+        let (head, waited) = trickle_ahead_of_healthz(false);
+        assert!(head.starts_with("HTTP/1.1 408 "), "{head}");
         assert!(
-            waited <= REQUEST_DEADLINE + Duration::from_secs(2),
+            waited <= crate::REQUEST_DEADLINE + Duration::from_secs(2),
             "/healthz waited {waited:?} behind the trickler"
         );
-        assert_eq!(server.shutdown().completed, 0);
+    }
+
+    #[test]
+    fn a_client_trickling_past_its_408_frees_its_acceptor_at_the_deadline() {
+        // The `/healthz` went out 1 s after the trickler connected, so it
+        // waits the 4 s of the trickler's deadline left, not its linger.
+        let (head, waited) = trickle_ahead_of_healthz(true);
+        assert!(head.starts_with("HTTP/1.1 408 "), "{head}");
+        assert!(
+            waited <= Duration::from_millis(4_500),
+            "/healthz waited {waited:?} behind the trickler"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 /// Quotient with a power-of-two fast path. Channel counts, interleave
 /// granularities and row sizes are powers of two in every real HBM part,
-/// and the hot loops here divide by them per 32-byte chunk — a shift is
+/// and the hot paths here divide by them per request — a shift is
 /// an order of magnitude cheaper than a 64-bit division, and the branch
 /// predicts perfectly (the divisor never changes within a run).
 #[inline]

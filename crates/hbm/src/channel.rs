@@ -31,8 +31,8 @@ impl Channel {
         }
     }
 
-    /// Accesses `bytes` bytes in `row`, returning the row-buffer outcome and
-    /// accumulating the channel's busy time.
+    /// Accesses `bytes` bytes in `row` as one transfer, returning the
+    /// row-buffer outcome and accumulating the channel's busy time.
     ///
     /// * `bytes_per_cycle` — channel beat width (16 B for HBM2 @ 2 GHz).
     /// * `activation_cycles` — row activate + precharge penalty on a miss.
@@ -44,20 +44,35 @@ impl Channel {
         bytes_per_cycle: u64,
         activation_cycles: u64,
     ) -> RowBufferOutcome {
-        let outcome = if self.open_row == Some(row) {
+        let beats = crate::address::fast_div(bytes + (bytes_per_cycle - 1), bytes_per_cycle);
+        self.stream(row, 1, beats, bytes, is_write, activation_cycles)
+    }
+
+    /// Accesses `rows` consecutive rows from `first_row` in turn, moving
+    /// `bytes` bytes in `beats` beats on each, and returns the first
+    /// row's outcome: every later row is a miss, and the last stays open.
+    pub fn stream(
+        &mut self,
+        first_row: u64,
+        rows: u64,
+        beats: u64,
+        bytes: u64,
+        is_write: bool,
+        activation_cycles: u64,
+    ) -> RowBufferOutcome {
+        let outcome = if self.open_row == Some(first_row) {
             RowBufferOutcome::Hit
         } else {
-            self.open_row = Some(row);
-            self.activations += 1;
-            self.busy_cycles += activation_cycles;
             RowBufferOutcome::Miss
         };
-        self.busy_cycles +=
-            crate::address::fast_div(bytes + (bytes_per_cycle - 1), bytes_per_cycle);
+        let activations = rows - u64::from(outcome == RowBufferOutcome::Hit);
+        self.open_row = Some(first_row + rows - 1);
+        self.activations += activations;
+        self.busy_cycles += activations * activation_cycles + rows * beats;
         if is_write {
-            self.write_bytes += bytes;
+            self.write_bytes += rows * bytes;
         } else {
-            self.read_bytes += bytes;
+            self.read_bytes += rows * bytes;
         }
         outcome
     }
@@ -132,6 +147,18 @@ mod tests {
         ch.access(0, 32, true, 16, 0);
         assert_eq!(ch.read_bytes(), 64);
         assert_eq!(ch.write_bytes(), 32);
+    }
+
+    #[test]
+    fn streaming_rows_opens_each_in_turn() {
+        let mut ch = Channel::new();
+        ch.access(5, 16, false, 16, 10);
+        // Row 5 is already open, so only rows 6, 7 and 8 activate.
+        assert_eq!(ch.stream(5, 4, 2, 32, true, 10), RowBufferOutcome::Hit);
+        assert_eq!(ch.activations(), 4);
+        assert_eq!(ch.busy_cycles(), (10 + 1) + 3 * 10 + 4 * 2);
+        assert_eq!(ch.write_bytes(), 4 * 32);
+        assert_eq!(ch.access(8, 16, false, 16, 10), RowBufferOutcome::Hit);
     }
 
     #[test]

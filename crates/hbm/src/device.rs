@@ -1,4 +1,4 @@
-//! The whole HBM stack: request queues over all channels.
+//! The whole HBM stack: the channels and the row stripe that feeds them.
 
 use crate::address::AddressMap;
 use crate::channel::Channel;
@@ -78,151 +78,43 @@ pub struct DrainStats {
     pub write_bytes: u64,
 }
 
-/// The HBM stack: per-channel queues + lifetime counters.
+/// The HBM stack: every channel's row buffer and counters, the row
+/// stripe being filled, and the run of requests not yet placed.
 #[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
     map: AddressMap,
     channels: Vec<Channel>,
-    pending: Vec<Vec<(u64, u64, bool)>>, // per channel: (row, bytes, is_write)
-    /// Whole aligned interleave blocks not yet placed in `pending`; `None`
-    /// when the channel width does not divide the interleave granularity,
-    /// so every chunk is walked.
-    stripe: Option<StripeBlocks>,
+    /// Contiguous bytes of one kind that later requests may still extend.
+    run: Option<Run>,
+    /// Whole blocks of one row stripe not yet folded into the channels.
+    stripe: StripeBlocks,
     lifetime_activations: u64,
     lifetime_read_bytes: u64,
     lifetime_write_bytes: u64,
 }
 
-/// Per-channel counts of whole, interleave-aligned blocks of one kind
-/// that all fall in one row stripe (`channels × row_bytes` bytes), and
-/// so on row `stripe` of every channel they touch.
-///
-/// Every such block is a same-row, same-kind follow-up whose byte count
-/// is a multiple of the channel width, so the per-chunk merge rule
-/// would fold all of a channel's blocks into one queue entry: the counts
-/// are all [`StripeBlocks::flush`] needs to reproduce the queues exactly.
+/// `[start, end)`, requested as one or more back-to-back requests.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u64,
+    end: u64,
+    is_write: bool,
+}
+
+/// Per-channel counts of whole, interleave-aligned blocks of one kind in
+/// one row stripe (`channels × row_bytes` bytes), all of which land on
+/// row `stripe` of their channel.
 #[derive(Debug, Clone)]
 struct StripeBlocks {
     /// Interleave blocks per row stripe.
     per_stripe: u64,
-    /// Row stripe index — the row every counted block lands on.
-    stripe: u64,
+    /// The stripe counted, if any block is.
+    stripe: Option<u64>,
     is_write: bool,
-    /// Any block counted since the last flush.
-    any: bool,
-    /// Blocks every channel holds.
-    all: u64,
-    /// Difference array (`channels + 1` slots) of the extra block that a
-    /// run's last `n % channels` blocks put on a cyclic channel range.
-    extra: Vec<i64>,
-}
-
-impl StripeBlocks {
-    /// The accumulator for `config`, if its channel width divides its
-    /// interleave granularity (so every whole block is beat-aligned).
-    fn new(config: &HbmConfig) -> Option<Self> {
-        config
-            .interleave_bytes
-            .is_multiple_of(config.bytes_per_cycle)
-            .then(|| Self {
-                per_stripe: config.channels as u64 * (config.row_bytes / config.interleave_bytes),
-                stripe: 0,
-                is_write: false,
-                any: false,
-                all: 0,
-                extra: vec![0; config.channels + 1],
-            })
-    }
-
-    /// Counts `n` whole interleave blocks starting at global block index
-    /// `block`, one row stripe at a time, flushing into `pending` first
-    /// whenever the stripe or the kind changes.
-    fn count(
-        &mut self,
-        pending: &mut [Vec<(u64, u64, bool)>],
-        config: &HbmConfig,
-        mut block: u64,
-        mut n: u64,
-        is_write: bool,
-    ) {
-        use crate::address::{fast_div, fast_mod};
-        let channels = config.channels as u64;
-        while n > 0 {
-            let stripe = fast_div(block, self.per_stripe);
-            let run = n.min(self.per_stripe - fast_mod(block, self.per_stripe));
-            if self.any && (self.stripe != stripe || self.is_write != is_write) {
-                self.flush(pending, config);
-            }
-            self.stripe = stripe;
-            self.is_write = is_write;
-            self.any = true;
-            self.all += fast_div(run, channels);
-            let first = fast_mod(block, channels) as usize;
-            let last = first + fast_mod(run, channels) as usize;
-            if last > first {
-                self.extra[first] += 1;
-                if last <= channels as usize {
-                    self.extra[last] -= 1;
-                } else {
-                    self.extra[channels as usize] -= 1;
-                    self.extra[0] += 1;
-                    self.extra[last - channels as usize] -= 1;
-                }
-            }
-            block += run;
-            n -= run;
-        }
-    }
-
-    /// Moves the counted blocks into the channel queues: one entry or
-    /// merge per channel that holds any.
-    fn flush(&mut self, pending: &mut [Vec<(u64, u64, bool)>], config: &HbmConfig) {
-        if !self.any {
-            return;
-        }
-        let mut extra = 0i64;
-        for (queue, slot) in pending.iter_mut().zip(self.extra.iter_mut()) {
-            extra += std::mem::take(slot);
-            let blocks = self.all + extra as u64;
-            if blocks > 0 {
-                let bytes = blocks * config.interleave_bytes;
-                push_merged(
-                    queue,
-                    self.stripe,
-                    bytes,
-                    self.is_write,
-                    config.bytes_per_cycle,
-                );
-            }
-        }
-        *self.extra.last_mut().expect("channels + 1 slots") = 0;
-        self.all = 0;
-        self.any = false;
-    }
-}
-
-/// Appends `bytes` on `row` to a channel queue, folding them into the
-/// tail entry when it is a same-row, same-kind entry whose byte count is
-/// a multiple of the channel width `width`.
-#[inline]
-fn push_merged(
-    queue: &mut Vec<(u64, u64, bool)>,
-    row: u64,
-    bytes: u64,
-    is_write: bool,
-    width: u64,
-) {
-    match queue.last_mut() {
-        Some(tail)
-            if tail.0 == row
-                && tail.2 == is_write
-                && crate::address::fast_mod(tail.1, width) == 0 =>
-        {
-            tail.1 += bytes;
-        }
-        _ => queue.push((row, bytes, is_write)),
-    }
+    /// Difference array (`channels + 1` slots) of each channel's blocks:
+    /// a channel holds the sum of the slots up to its own.
+    blocks: Vec<i64>,
 }
 
 impl Hbm {
@@ -232,9 +124,14 @@ impl Hbm {
         Self {
             config,
             map,
-            channels: (0..config.channels).map(|_| Channel::new()).collect(),
-            pending: vec![Vec::new(); config.channels],
-            stripe: StripeBlocks::new(&config),
+            channels: vec![Channel::new(); config.channels],
+            run: None,
+            stripe: StripeBlocks {
+                per_stripe: config.channels as u64 * (config.row_bytes / config.interleave_bytes),
+                stripe: None,
+                is_write: false,
+                blocks: vec![0; config.channels + 1],
+            },
             lifetime_activations: 0,
             lifetime_read_bytes: 0,
             lifetime_write_bytes: 0,
@@ -251,113 +148,197 @@ impl Hbm {
         self.map
     }
 
-    /// Queues a request, splitting it into per-channel interleave blocks.
+    /// Adds a request to the current window.
     ///
-    /// The resulting [`DrainStats`] are exactly those of queueing every
-    /// interleave chunk as its own entry and draining them one by one;
-    /// three exact shortcuts get there with far less work:
+    /// The reference semantics are per chunk: a request splits into
+    /// interleave chunks, and each chunk is one access to its channel — a
+    /// row activation if the channel has another row open, then
+    /// `ceil(bytes / bytes_per_cycle)` beats. [`DrainStats`] depend only
+    /// on each chunk's beats, which add up, and on each channel's
+    /// sequence of rows, so the same stats come out without queueing a
+    /// chunk:
     ///
-    /// * A chunk landing on the same row as its channel's queue tail is
-    ///   merged into that entry when the tail's byte count is a multiple
-    ///   of the channel width: `ceil((a+b)/w) = a/w + ceil(b/w)` when
-    ///   `w | a`, and a same-row follow-up is a guaranteed row hit, so
-    ///   the merged entry drains to identical cycles, activations and
-    ///   byte counters as the split one.
-    /// * When the channel width divides the interleave granularity, the
-    ///   request's whole, aligned interleave blocks are not walked at
-    ///   all. Within one row stripe (`channels × row_bytes` bytes) every
-    ///   such block lands on the same row of its channel and, by the rule
-    ///   above, merges with the channel's previous block of the stripe.
-    ///   So a run of `n` blocks only adds `n / channels` blocks to every
-    ///   channel and one more to a cyclic range of `n % channels`
-    ///   channels — O(1) per request in a difference array. The counts
-    ///   flush into the queues, one entry or merge per channel, when the
-    ///   stripe or the kind changes, before any chunk is walked, and at
-    ///   [`Hbm::drain`], so no queue ever sees its entries reordered.
-    /// * Chunks that are walked — the partial head and tail blocks of an
-    ///   unaligned request, and every chunk when the width does not
-    ///   divide the interleave — carry their (channel, row) incrementally:
-    ///   channels rotate by one per block and the channel-local block
-    ///   index bumps when the rotation wraps, so the walk does no address
-    ///   division per chunk.
+    /// * A request that starts where the previous one ended, with the
+    ///   same kind, on an interleave boundary, extends it into one run:
+    ///   two requests whose shared boundary is interleave-aligned split
+    ///   into exactly the chunks of their union.
+    /// * Every chunk of a row stripe (`channels × row_bytes` bytes) lands
+    ///   on the same row of its channel, row `addr / (channels ×
+    ///   row_bytes)`, because [`AddressMap`] makes `row_bytes` a multiple
+    ///   of the interleave. So the order of a stripe's chunks cannot
+    ///   matter. A run's whole blocks are only counted per channel, O(1)
+    ///   in a difference array, and fold into the channels (one access
+    ///   each) before anything of another stripe reaches them, before
+    ///   blocks of another kind are counted, and at [`Hbm::drain`]. Its
+    ///   partial head and tail chunks are accessed at once.
+    /// * The stripes a run covers whole are added in closed form: each
+    ///   channel opens their rows in turn, moving
+    ///   `row_bytes / interleave × ceil(interleave / bytes_per_cycle)`
+    ///   beats on each.
+    #[inline]
     pub fn enqueue(&mut self, req: Request) {
-        use crate::address::{fast_div, fast_mod};
-        let is_write = req.kind == RequestKind::Write;
-        let interleave = self.config.interleave_bytes;
         if req.bytes == 0 {
             return;
         }
-        if self.stripe.is_none() {
-            self.walk_chunks(req.addr, req.bytes, is_write);
-            return;
-        }
+        let is_write = req.kind == RequestKind::Write;
         let end = req.addr + req.bytes;
-        let mut addr = req.addr;
+        if let Some(run) = &mut self.run {
+            if run.end == req.addr
+                && run.is_write == is_write
+                && crate::address::fast_mod(req.addr, self.config.interleave_bytes) == 0
+            {
+                run.end = end;
+                return;
+            }
+        }
+        let next = Run {
+            start: req.addr,
+            end,
+            is_write,
+        };
+        if let Some(run) = self.run.replace(next) {
+            self.place(run);
+        }
+    }
+
+    /// Accesses a run's partial head and tail chunks and counts its whole
+    /// blocks.
+    fn place(&mut self, run: Run) {
+        use crate::address::{fast_div, fast_mod};
+        let (mut addr, end, is_write) = (run.start, run.end, run.is_write);
+        let interleave = self.config.interleave_bytes;
         let within = fast_mod(addr, interleave);
         if within != 0 {
-            let head = (interleave - within).min(req.bytes);
-            self.walk_chunks(addr, head, is_write);
+            let head = (interleave - within).min(end - addr);
+            self.access_chunk(addr, head, is_write);
             addr += head;
         }
         let blocks = fast_div(end - addr, interleave);
         if blocks > 0 {
-            if let Some(acc) = &mut self.stripe {
-                let first = fast_div(addr, interleave);
-                acc.count(&mut self.pending, &self.config, first, blocks, is_write);
-            }
+            self.count_blocks(fast_div(addr, interleave), blocks, is_write);
             addr += blocks * interleave;
         }
         if addr < end {
-            self.walk_chunks(addr, end - addr, is_write);
+            self.access_chunk(addr, end - addr, is_write);
         }
     }
 
-    /// Queues `[addr, addr + bytes)` chunk by chunk, one interleave chunk
-    /// at a time, after flushing any counted stripe blocks ahead of it.
-    fn walk_chunks(&mut self, mut addr: u64, bytes: u64, is_write: bool) {
+    /// Accesses one chunk of less than a block, after folding the counted
+    /// blocks if they lie in another stripe.
+    fn access_chunk(&mut self, addr: u64, bytes: u64, is_write: bool) {
         use crate::address::{fast_div, fast_mod};
-        self.flush_stripe();
-        let interleave = self.config.interleave_bytes;
+        let block = fast_div(addr, self.config.interleave_bytes);
+        let stripe = fast_div(block, self.stripe.per_stripe);
+        if self.stripe.stripe.is_some_and(|s| s != stripe) {
+            self.fold_stripe();
+        }
+        let channel = fast_mod(block, self.config.channels as u64) as usize;
+        self.channels[channel].access(
+            stripe,
+            bytes,
+            is_write,
+            self.config.bytes_per_cycle,
+            self.config.activation_cycles,
+        );
+    }
+
+    /// Counts `n` whole blocks from global block index `block`: the
+    /// stripes they cover whole in closed form, the rest per stripe.
+    fn count_blocks(&mut self, mut block: u64, mut n: u64, is_write: bool) {
+        use crate::address::{fast_div, fast_mod};
+        let per_stripe = self.stripe.per_stripe;
         let channels = self.config.channels as u64;
-        let width = self.config.bytes_per_cycle;
-        let mut remaining = bytes;
-        let block = fast_div(addr, interleave);
-        let mut channel = fast_mod(block, channels) as usize;
-        // `channel_block * interleave` for the current block; advances a
-        // full interleave stripe each time the channel rotation wraps.
-        let mut channel_base = fast_div(block, channels) * interleave;
-        loop {
-            let within = fast_mod(addr, interleave);
-            let chunk = (interleave - within).min(remaining);
-            let row = fast_div(channel_base + within, self.config.row_bytes);
-            push_merged(&mut self.pending[channel], row, chunk, is_write, width);
-            remaining -= chunk;
-            if remaining == 0 {
-                break;
+        while n > 0 {
+            let stripe = fast_div(block, per_stripe);
+            let offset = fast_mod(block, per_stripe);
+            if offset == 0 && n >= per_stripe {
+                let rows = fast_div(n, per_stripe);
+                self.fold_stripe();
+                let blocks_per_row = self.config.row_bytes / self.config.interleave_bytes;
+                let beats = blocks_per_row * self.block_beats();
+                for channel in &mut self.channels {
+                    channel.stream(
+                        stripe,
+                        rows,
+                        beats,
+                        self.config.row_bytes,
+                        is_write,
+                        self.config.activation_cycles,
+                    );
+                }
+                block += rows * per_stripe;
+                n -= rows * per_stripe;
+                continue;
             }
-            addr += chunk;
-            channel += 1;
-            if channel == channels as usize {
-                channel = 0;
-                channel_base += interleave;
+            let run = n.min(per_stripe - offset);
+            if self.stripe.stripe != Some(stripe) || self.stripe.is_write != is_write {
+                self.fold_stripe();
             }
+            self.stripe.stripe = Some(stripe);
+            self.stripe.is_write = is_write;
+            // Every channel gets `run / channels` blocks, and the cyclic
+            // range of `run % channels` channels from `first` one more.
+            let slots = &mut self.stripe.blocks;
+            slots[0] += fast_div(run, channels) as i64;
+            let first = fast_mod(block, channels) as usize;
+            let last = first + fast_mod(run, channels) as usize;
+            if last > first {
+                slots[first] += 1;
+                if last <= channels as usize {
+                    slots[last] -= 1;
+                } else {
+                    slots[0] += 1;
+                    slots[last - channels as usize] -= 1;
+                }
+            }
+            block += run;
+            n -= run;
         }
     }
 
-    /// Moves any counted stripe blocks into the channel queues.
-    fn flush_stripe(&mut self) {
-        if let Some(acc) = &mut self.stripe {
-            acc.flush(&mut self.pending, &self.config);
-        }
+    /// Beats one whole interleave block takes.
+    fn block_beats(&self) -> u64 {
+        self.config
+            .interleave_bytes
+            .div_ceil(self.config.bytes_per_cycle)
     }
 
-    /// Drains all queued requests, returning the batch statistics.
+    /// Moves the counted blocks into the channels: one access per channel
+    /// that holds any.
+    fn fold_stripe(&mut self) {
+        let Some(row) = self.stripe.stripe.take() else {
+            return;
+        };
+        let (block_beats, interleave) = (self.block_beats(), self.config.interleave_bytes);
+        let mut blocks = 0i64;
+        for (channel, slot) in self.channels.iter_mut().zip(&mut self.stripe.blocks) {
+            blocks += std::mem::take(slot);
+            if blocks > 0 {
+                let blocks = blocks as u64;
+                channel.stream(
+                    row,
+                    1,
+                    blocks * block_beats,
+                    blocks * interleave,
+                    self.stripe.is_write,
+                    self.config.activation_cycles,
+                );
+            }
+        }
+        *self.stripe.blocks.last_mut().expect("channels + 1 slots") = 0;
+    }
+
+    /// Ends the window: places what is still pending and returns the
+    /// window's statistics.
     ///
     /// The batch latency is the busy time of the slowest channel — the
     /// datapath overlaps DRAM access with compute, so this is the number the
     /// pipeline model needs.
     pub fn drain(&mut self) -> DrainStats {
-        self.flush_stripe();
+        if let Some(run) = self.run.take() {
+            self.place(run);
+        }
+        self.fold_stripe();
         let mut stats = DrainStats {
             cycles: 0,
             total_channel_busy: 0,
@@ -365,27 +346,19 @@ impl Hbm {
             read_bytes: 0,
             write_bytes: 0,
         };
-        for (ch, queue) in self.channels.iter_mut().zip(&mut self.pending) {
-            ch.start_window();
-            let act_before = ch.activations();
-            let rd_before = ch.read_bytes();
-            let wr_before = ch.write_bytes();
-            for &(row, bytes, is_write) in queue.iter() {
-                ch.access(
-                    row,
-                    bytes,
-                    is_write,
-                    self.config.bytes_per_cycle,
-                    self.config.activation_cycles,
-                );
-            }
-            queue.clear();
+        for ch in &mut self.channels {
             stats.cycles = stats.cycles.max(ch.busy_cycles());
             stats.total_channel_busy += ch.busy_cycles();
-            stats.activations += ch.activations() - act_before;
-            stats.read_bytes += ch.read_bytes() - rd_before;
-            stats.write_bytes += ch.write_bytes() - wr_before;
+            stats.activations += ch.activations();
+            stats.read_bytes += ch.read_bytes();
+            stats.write_bytes += ch.write_bytes();
+            ch.start_window();
         }
+        // The channels count over their lifetime; this window is what
+        // they added since the last drain.
+        stats.activations -= self.lifetime_activations;
+        stats.read_bytes -= self.lifetime_read_bytes;
+        stats.write_bytes -= self.lifetime_write_bytes;
         self.lifetime_activations += stats.activations;
         self.lifetime_read_bytes += stats.read_bytes;
         self.lifetime_write_bytes += stats.write_bytes;
@@ -590,9 +563,9 @@ mod tests {
     }
 
     /// Configs the property runs on: the default stack, the Table-I chip's
-    /// 32-byte-beat stack and its two-channel 1/8 variant (both take the
-    /// whole-block path), and an odd stack whose beat does not divide the
-    /// interleave (every chunk walked).
+    /// 32-byte-beat stack and its two-channel 1/8 variant, and an odd
+    /// stack whose beat does not divide the interleave, so a whole block
+    /// takes a partial last beat.
     fn property_configs() -> [HbmConfig; 4] {
         let table1 = HbmConfig {
             bytes_per_cycle: 32,
@@ -623,13 +596,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The whole-block stripe counts and the carried per-chunk walk
-        /// drain to exactly what queueing every interleave chunk on its
-        /// own gives, draining after every op that asks for it and at the
-        /// end, on every config — lifetime counters included.
+        /// Run coalescing, the stripe block counts and the closed-form
+        /// whole stripes drain to exactly what accessing every interleave
+        /// chunk on its own gives, draining after every op that asks for
+        /// it and at the end, on every config — lifetime counters
+        /// included.
         #[test]
         fn coalesced_enqueue_matches_per_chunk_reference(
-            ops in prop::collection::vec((0u8..8, 0u64..4096, 0u64..64, 0u64..4096), 1..48),
+            ops in prop::collection::vec((0u8..9, 0u64..4096, 0u64..64, 0u64..4096), 1..48),
         ) {
             for cfg in property_configs() {
                 let mut fast = Hbm::new(cfg);
@@ -688,6 +662,26 @@ mod tests {
                             reqs.push(Request { addr: cursor / 32 * 32, bytes, kind });
                             cursor += bytes;
                         }
+                        // Back-to-back token rows of every size, as an
+                        // unpruned plane: runs of requests that coalesce
+                        // on interleave boundaries, broken by a gap or
+                        // ended by an adjoining write.
+                        7 => {
+                            let tokens = b + 1;
+                            for bpt in ROW_BYTES {
+                                for t in 0..tokens {
+                                    if a % 2 == 1 && t == tokens / 2 {
+                                        cursor += c % 97 + 1;
+                                    }
+                                    reqs.push(Request { addr: cursor, bytes: bpt, kind: RequestKind::Read });
+                                    cursor += bpt;
+                                }
+                                if a % 3 == 0 {
+                                    reqs.push(Request { addr: cursor, bytes: bpt, kind: RequestKind::Write });
+                                    cursor += bpt;
+                                }
+                            }
+                        }
                         // Drain mid-stream.
                         _ => {}
                     }
@@ -695,7 +689,7 @@ mod tests {
                         fast.enqueue(req);
                         slow.enqueue(req);
                     }
-                    if op == 7 || i + 1 == ops.len() {
+                    if op == 8 || i + 1 == ops.len() {
                         let got = fast.drain();
                         let want = slow.drain();
                         prop_assert_eq!(got, want);

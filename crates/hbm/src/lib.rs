@@ -10,16 +10,15 @@
 //! 2. **per-event energy** (row activations vs. column reads) that makes
 //!    DRAM ≈ 70 % of total power (Table II).
 //!
-//! The model is deterministic: requests are queued per channel and drained
-//! in order with an open-page row-buffer policy.
-//!
-//! Its reference semantics are per chunk: a request splits into
-//! interleave-sized chunks, each queued on its channel and row and drained
-//! as its own access. [`Hbm::enqueue`] reaches exactly the same
-//! [`DrainStats`] with far less work — same-row chunks merge in the queue,
-//! and whole aligned blocks are counted per row stripe instead of walked
-//! (see its docs for why each shortcut is exact). A property test checks
-//! it against a per-chunk reference model on random request streams.
+//! The model is deterministic, with an open-page row-buffer policy. Its
+//! reference semantics are per chunk: a request splits into
+//! interleave-sized chunks, and each is one access to its channel's row,
+//! in request order. [`Hbm::enqueue`] reaches exactly the same
+//! [`DrainStats`] without queueing a chunk: back-to-back requests
+//! coalesce into runs, and a run's blocks are counted per channel one row
+//! stripe at a time (see its docs for why that is exact). A property test
+//! checks it against a per-chunk reference model on random request
+//! streams.
 
 pub mod address;
 pub mod channel;
