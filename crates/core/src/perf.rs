@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spatten_arch::{MultArray, Sram, TopkEngine};
 use spatten_energy::{EnergyBreakdown, EnergyModel, EventCounts, PowerReport};
-use spatten_hbm::{Hbm, Request, RequestKind};
+use spatten_hbm::{Hbm, Plane, RequestKind};
 use spatten_workloads::{synth, Workload};
 
 /// Fraction of generation queries whose attention-probability distribution
@@ -222,30 +222,19 @@ impl<'a> Sim<'a> {
     }
 
     /// Enqueues `tokens` scattered token-rows of `bytes_per_token` each,
-    /// spread over an original range of `span` tokens (pruning scatter).
+    /// spread over an original range of `span` tokens (pruning scatter):
+    /// token `i` at original slot `⌊i·span / tokens⌋`.
     fn enqueue_scattered(&mut self, tokens: usize, span: usize, bytes_per_token: u64) {
-        let base = self.addr_cursor;
-        let span = span.max(tokens).max(1);
-        // Token `i` sits at original slot `⌊i·span / tokens⌋`, stepped
-        // incrementally: `span / tokens` slots per token plus a carry
-        // each time the remainders add up to another whole token.
-        let (step, rem) = (span / tokens.max(1), span % tokens.max(1));
-        let (mut slot, mut carry) = (0usize, 0usize);
-        for _ in 0..tokens {
-            self.hbm.enqueue(Request {
-                addr: base + slot as u64 * bytes_per_token,
-                bytes: bytes_per_token,
-                kind: RequestKind::Read,
-            });
-            slot += step;
-            carry += rem;
-            if carry >= tokens {
-                carry -= tokens;
-                slot += 1;
-            }
-        }
+        let span = span.max(tokens).max(1) as u64;
+        self.hbm.enqueue(Plane {
+            base: self.addr_cursor,
+            rows: tokens as u64,
+            span,
+            row_bytes: bytes_per_token,
+            kind: RequestKind::Read,
+        });
         self.counts.xbar_requests += tokens as u64;
-        self.addr_cursor = base + span as u64 * bytes_per_token;
+        self.addr_cursor += span * bytes_per_token;
     }
 
     fn drain_dram(&mut self) -> u64 {
@@ -319,11 +308,11 @@ impl<'a> Sim<'a> {
             }
             // Q plane + attention-out writeback at on-chip precision.
             self.enqueue_scattered(l0, self.original_span(l0), bytes_per_token_plane(msb_bits));
-            self.hbm.enqueue(Request {
-                addr: self.addr_cursor,
-                bytes: l0 as u64 * (out_cols as u64 * 12).div_ceil(8),
-                kind: RequestKind::Write,
-            });
+            self.hbm.enqueue(Plane::range(
+                self.addr_cursor,
+                l0 as u64 * (out_cols as u64 * 12).div_ceil(8),
+                RequestKind::Write,
+            ));
             self.addr_cursor += (l0 * out_cols * 2) as u64;
             // SRAM fills.
             self.counts.sram_bits += 2 * l1 as u64 * hidden_active * 12;
@@ -336,17 +325,17 @@ impl<'a> Sim<'a> {
                 self.original_span(l1),
                 bytes_per_token_plane(msb_bits),
             );
-            self.hbm.enqueue(Request {
-                addr: self.addr_cursor,
-                bytes: 3 * (out_cols as u64 * msb_bits).div_ceil(8),
-                kind: RequestKind::Read,
-            });
+            self.hbm.enqueue(Plane::range(
+                self.addr_cursor,
+                3 * (out_cols as u64 * msb_bits).div_ceil(8),
+                RequestKind::Read,
+            ));
             self.addr_cursor += (3 * out_cols * 2) as u64;
-            self.hbm.enqueue(Request {
-                addr: self.addr_cursor,
-                bytes: (out_cols as u64 * 12).div_ceil(8),
-                kind: RequestKind::Write,
-            });
+            self.hbm.enqueue(Plane::range(
+                self.addr_cursor,
+                (out_cols as u64 * 12).div_ceil(8),
+                RequestKind::Write,
+            ));
             self.addr_cursor += (out_cols * 2) as u64;
         }
 

@@ -4,27 +4,44 @@
 //! fetcher can keep every channel busy (§IV-D). The interleaving
 //! granularity is one 32-byte access (two 16-byte pseudo-channel beats).
 
-/// Quotient with a power-of-two fast path. Channel counts, interleave
-/// granularities and row sizes are powers of two in every real HBM part,
-/// and the hot paths here divide by them per request — a shift is
-/// an order of magnitude cheaper than a 64-bit division, and the branch
-/// predicts perfectly (the divisor never changes within a run).
-#[inline]
-pub(crate) fn fast_div(x: u64, d: u64) -> u64 {
-    if d.is_power_of_two() {
-        x >> d.trailing_zeros()
-    } else {
-        x / d
-    }
+/// A divisor fixed for the life of a stack, divided by with a shift when
+/// it is a power of two. Channel counts, interleave granularities and row
+/// sizes are powers of two in every real HBM part, and the plane walk
+/// divides by them per token row: a shift is an order of magnitude cheaper
+/// than a 64-bit division, and the branch predicts perfectly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    value: u64,
+    shift: Option<u32>,
 }
 
-/// Remainder with a power-of-two fast path (see [`fast_div`]).
-#[inline]
-pub(crate) fn fast_mod(x: u64, d: u64) -> u64 {
-    if d.is_power_of_two() {
-        x & (d - 1)
-    } else {
-        x % d
+impl Divisor {
+    pub(crate) fn new(value: u64) -> Self {
+        Self {
+            value,
+            shift: value.is_power_of_two().then(|| value.trailing_zeros()),
+        }
+    }
+
+    /// The divisor itself.
+    pub(crate) fn get(self) -> u64 {
+        self.value
+    }
+
+    #[inline(always)]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        match self.shift {
+            Some(shift) => x >> shift,
+            None => x / self.value,
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.value - 1),
+            None => x % self.value,
+        }
     }
 }
 
@@ -89,15 +106,14 @@ impl AddressMap {
     /// Decodes an address: consecutive `interleave_bytes` blocks rotate
     /// through channels; within a channel, blocks fill rows sequentially.
     pub fn decode(&self, addr: u64) -> DecodedAddress {
-        let block = fast_div(addr, self.interleave_bytes);
-        let channel = fast_mod(block, self.channels as u64) as usize;
-        let channel_block = fast_div(block, self.channels as u64);
-        let channel_byte =
-            channel_block * self.interleave_bytes + fast_mod(addr, self.interleave_bytes);
+        let block = addr / self.interleave_bytes;
+        let channel = (block % self.channels as u64) as usize;
+        let channel_block = block / self.channels as u64;
+        let channel_byte = channel_block * self.interleave_bytes + addr % self.interleave_bytes;
         DecodedAddress {
             channel,
-            row: fast_div(channel_byte, self.row_bytes),
-            column: fast_mod(channel_byte, self.row_bytes),
+            row: channel_byte / self.row_bytes,
+            column: channel_byte % self.row_bytes,
         }
     }
 }

@@ -44,37 +44,42 @@ impl Channel {
         bytes_per_cycle: u64,
         activation_cycles: u64,
     ) -> RowBufferOutcome {
-        let beats = crate::address::fast_div(bytes + (bytes_per_cycle - 1), bytes_per_cycle);
-        self.stream(row, 1, beats, bytes, is_write, activation_cycles)
+        let outcome = self.open_rows(row, row, 1, activation_cycles);
+        self.transfer(bytes.div_ceil(bytes_per_cycle), bytes, is_write);
+        outcome
     }
 
-    /// Accesses `rows` consecutive rows from `first_row` in turn, moving
-    /// `bytes` bytes in `beats` beats on each, and returns the first
-    /// row's outcome: every later row is a miss, and the last stays open.
-    pub fn stream(
+    /// Opens `rows` distinct rows in increasing order, `first` to
+    /// `last`, and returns the first's outcome: a hit if it is already
+    /// open, otherwise a miss. Every later row is a miss; each miss pays
+    /// `activation_cycles`.
+    pub fn open_rows(
         &mut self,
-        first_row: u64,
+        first: u64,
+        last: u64,
         rows: u64,
-        beats: u64,
-        bytes: u64,
-        is_write: bool,
         activation_cycles: u64,
     ) -> RowBufferOutcome {
-        let outcome = if self.open_row == Some(first_row) {
+        let outcome = if self.open_row == Some(first) {
             RowBufferOutcome::Hit
         } else {
             RowBufferOutcome::Miss
         };
         let activations = rows - u64::from(outcome == RowBufferOutcome::Hit);
-        self.open_row = Some(first_row + rows - 1);
+        self.open_row = Some(last);
         self.activations += activations;
-        self.busy_cycles += activations * activation_cycles + rows * beats;
-        if is_write {
-            self.write_bytes += rows * bytes;
-        } else {
-            self.read_bytes += rows * bytes;
-        }
+        self.busy_cycles += activations * activation_cycles;
         outcome
+    }
+
+    /// Moves `bytes` bytes in `beats` beats.
+    pub fn transfer(&mut self, beats: u64, bytes: u64, is_write: bool) {
+        self.busy_cycles += beats;
+        if is_write {
+            self.write_bytes += bytes;
+        } else {
+            self.read_bytes += bytes;
+        }
     }
 
     /// Total busy cycles accumulated.
@@ -154,7 +159,8 @@ mod tests {
         let mut ch = Channel::new();
         ch.access(5, 16, false, 16, 10);
         // Row 5 is already open, so only rows 6, 7 and 8 activate.
-        assert_eq!(ch.stream(5, 4, 2, 32, true, 10), RowBufferOutcome::Hit);
+        assert_eq!(ch.open_rows(5, 8, 4, 10), RowBufferOutcome::Hit);
+        ch.transfer(4 * 2, 4 * 32, true);
         assert_eq!(ch.activations(), 4);
         assert_eq!(ch.busy_cycles(), (10 + 1) + 3 * 10 + 4 * 2);
         assert_eq!(ch.write_bytes(), 4 * 32);

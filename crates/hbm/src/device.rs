@@ -1,6 +1,7 @@
-//! The whole HBM stack: the channels and the row stripe that feeds them.
+//! The whole HBM stack: the channels and the planes of token rows that
+//! feed them.
 
-use crate::address::AddressMap;
+use crate::address::{AddressMap, Divisor};
 use crate::channel::Channel;
 
 /// Read or write.
@@ -12,21 +13,42 @@ pub enum RequestKind {
     Write,
 }
 
-/// One memory request (a contiguous byte range).
+/// One tensor plane's token rows: `rows` rows of `row_bytes` bytes, row
+/// `i` at `base + ⌊i·span/rows⌋·row_bytes`. Cascade token pruning leaves
+/// a layer's surviving rows spread over the `span` slots of the unpruned
+/// plane; with `span == rows` the rows are one contiguous range, and a
+/// plain request is a one-row plane ([`Plane::range`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
-    /// Start byte address.
-    pub addr: u64,
-    /// Length in bytes.
-    pub bytes: u64,
+pub struct Plane {
+    /// Address of slot 0.
+    pub base: u64,
+    /// Rows placed.
+    pub rows: u64,
+    /// Slots the rows are spread over; less than `rows` counts as `rows`.
+    pub span: u64,
+    /// Bytes per row.
+    pub row_bytes: u64,
     /// Read or write.
     pub kind: RequestKind,
+}
+
+impl Plane {
+    /// One contiguous range of `bytes` bytes at `addr`.
+    pub fn range(addr: u64, bytes: u64, kind: RequestKind) -> Self {
+        Self {
+            base: addr,
+            rows: 1,
+            span: 1,
+            row_bytes: bytes,
+            kind,
+        }
+    }
 }
 
 /// HBM stack configuration (Table I defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbmConfig {
-    /// Number of channels.
+    /// Number of channels, at most 64.
     pub channels: usize,
     /// Bytes per cycle per channel (128-bit channel @ accelerator clock).
     pub bytes_per_cycle: u64,
@@ -78,60 +100,38 @@ pub struct DrainStats {
     pub write_bytes: u64,
 }
 
-/// The HBM stack: every channel's row buffer and counters, the row
-/// stripe being filled, and the run of requests not yet placed.
+/// The HBM stack: every channel's row buffer and counters.
 #[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
     map: AddressMap,
     channels: Vec<Channel>,
-    /// Contiguous bytes of one kind that later requests may still extend.
-    run: Option<Run>,
-    /// Whole blocks of one row stripe not yet folded into the channels.
-    stripe: StripeBlocks,
+    /// Apart from the walk, which borrows it shared, so the row loop
+    /// keeps the divisors in registers.
+    geometry: Geometry,
+    /// Work space of one [`Hbm::enqueue`]; empty between calls.
+    walk: Walk,
     lifetime_activations: u64,
     lifetime_read_bytes: u64,
     lifetime_write_bytes: u64,
 }
 
-/// `[start, end)`, requested as one or more back-to-back requests.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    start: u64,
-    end: u64,
-    is_write: bool,
-}
-
-/// Per-channel counts of whole, interleave-aligned blocks of one kind in
-/// one row stripe (`channels × row_bytes` bytes), all of which land on
-/// row `stripe` of their channel.
-#[derive(Debug, Clone)]
-struct StripeBlocks {
-    /// Interleave blocks per row stripe.
-    per_stripe: u64,
-    /// The stripe counted, if any block is.
-    stripe: Option<u64>,
-    is_write: bool,
-    /// Difference array (`channels + 1` slots) of each channel's blocks:
-    /// a channel holds the sum of the slots up to its own.
-    blocks: Vec<i64>,
-}
-
 impl Hbm {
     /// A fresh stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than 64 channels, or if
+    /// [`AddressMap::new`] rejects it.
     pub fn new(config: HbmConfig) -> Self {
         let map = AddressMap::new(config.channels, config.interleave_bytes, config.row_bytes);
+        assert!(config.channels <= 64, "at most 64 HBM channels");
         Self {
             config,
             map,
             channels: vec![Channel::new(); config.channels],
-            run: None,
-            stripe: StripeBlocks {
-                per_stripe: config.channels as u64 * (config.row_bytes / config.interleave_bytes),
-                stripe: None,
-                is_write: false,
-                blocks: vec![0; config.channels + 1],
-            },
+            geometry: Geometry::new(&config),
+            walk: Walk::new(&config),
             lifetime_activations: 0,
             lifetime_read_bytes: 0,
             lifetime_write_bytes: 0,
@@ -148,197 +148,88 @@ impl Hbm {
         self.map
     }
 
-    /// Adds a request to the current window.
+    /// Places a plane's rows in the current window.
     ///
-    /// The reference semantics are per chunk: a request splits into
+    /// The reference semantics are per chunk: each row splits into
     /// interleave chunks, and each chunk is one access to its channel — a
     /// row activation if the channel has another row open, then
-    /// `ceil(bytes / bytes_per_cycle)` beats. [`DrainStats`] depend only
-    /// on each chunk's beats, which add up, and on each channel's
-    /// sequence of rows, so the same stats come out without queueing a
-    /// chunk:
+    /// `ceil(bytes / bytes_per_cycle)` beats. Every chunk of a row stripe
+    /// (`channels × row_bytes` bytes) lands on the same row of its
+    /// channel, row `addr / (channels × row_bytes)`, because
+    /// [`AddressMap`] makes `row_bytes` a multiple of the interleave. A
+    /// plane's addresses only increase, so each channel opens each stripe
+    /// it touches once, in stripe order (the first one not at all if its
+    /// row is already open), and beats and bytes are sums whose order
+    /// cannot matter. So the same [`DrainStats`] come out of one walk
+    /// over the rows that gathers, and then lands on the channels once:
     ///
-    /// * A request that starts where the previous one ended, with the
-    ///   same kind, on an interleave boundary, extends it into one run:
-    ///   two requests whose shared boundary is interleave-aligned split
-    ///   into exactly the chunks of their union.
-    /// * Every chunk of a row stripe (`channels × row_bytes` bytes) lands
-    ///   on the same row of its channel, row `addr / (channels ×
-    ///   row_bytes)`, because [`AddressMap`] makes `row_bytes` a multiple
-    ///   of the interleave. So the order of a stripe's chunks cannot
-    ///   matter. A run's whole blocks are only counted per channel, O(1)
-    ///   in a difference array, and fold into the channels (one access
-    ///   each) before anything of another stripe reaches them, before
-    ///   blocks of another kind are counted, and at [`Hbm::drain`]. Its
-    ///   partial head and tail chunks are accessed at once.
-    /// * The stripes a run covers whole are added in closed form: each
-    ///   channel opens their rows in turn, moving
-    ///   `row_bytes / interleave × ceil(interleave / bytes_per_cycle)`
-    ///   beats on each.
-    #[inline]
-    pub fn enqueue(&mut self, req: Request) {
-        if req.bytes == 0 {
+    /// * per stripe, the mask of channels it touches — a row that
+    ///   straddles stripes marks its piece of each — and per channel,
+    ///   how many stripes it touched, the first and the last;
+    /// * the rows counted per key (offset within the interleave block,
+    ///   first channel): rows with one key and one size split into the
+    ///   same chunks on the same channels, so each key's chunks are added
+    ///   once, times its count;
+    /// * rows in adjacent slots taken as one range when their boundaries
+    ///   are interleave-aligned, since such rows split into exactly the
+    ///   chunks of their union, whole blocks that a difference array
+    ///   counts per channel in O(1) per range.
+    ///
+    /// Nothing is left pending for a later call or for [`Hbm::drain`].
+    pub fn enqueue(&mut self, plane: Plane) {
+        let Plane {
+            base,
+            rows,
+            row_bytes,
+            kind,
+            ..
+        } = plane;
+        if rows == 0 || row_bytes == 0 {
             return;
         }
-        let is_write = req.kind == RequestKind::Write;
-        let end = req.addr + req.bytes;
-        if let Some(run) = &mut self.run {
-            if run.end == req.addr
-                && run.is_write == is_write
-                && crate::address::fast_mod(req.addr, self.config.interleave_bytes) == 0
-            {
-                run.end = end;
-                return;
-            }
-        }
-        let next = Run {
-            start: req.addr,
-            end,
-            is_write,
-        };
-        if let Some(run) = self.run.replace(next) {
-            self.place(run);
-        }
-    }
-
-    /// Accesses a run's partial head and tail chunks and counts its whole
-    /// blocks.
-    fn place(&mut self, run: Run) {
-        use crate::address::{fast_div, fast_mod};
-        let (mut addr, end, is_write) = (run.start, run.end, run.is_write);
-        let interleave = self.config.interleave_bytes;
-        let within = fast_mod(addr, interleave);
-        if within != 0 {
-            let head = (interleave - within).min(end - addr);
-            self.access_chunk(addr, head, is_write);
-            addr += head;
-        }
-        let blocks = fast_div(end - addr, interleave);
-        if blocks > 0 {
-            self.count_blocks(fast_div(addr, interleave), blocks, is_write);
-            addr += blocks * interleave;
-        }
-        if addr < end {
-            self.access_chunk(addr, end - addr, is_write);
-        }
-    }
-
-    /// Accesses one chunk of less than a block, after folding the counted
-    /// blocks if they lie in another stripe.
-    fn access_chunk(&mut self, addr: u64, bytes: u64, is_write: bool) {
-        use crate::address::{fast_div, fast_mod};
-        let block = fast_div(addr, self.config.interleave_bytes);
-        let stripe = fast_div(block, self.stripe.per_stripe);
-        if self.stripe.stripe.is_some_and(|s| s != stripe) {
-            self.fold_stripe();
-        }
-        let channel = fast_mod(block, self.config.channels as u64) as usize;
-        self.channels[channel].access(
-            stripe,
-            bytes,
-            is_write,
-            self.config.bytes_per_cycle,
-            self.config.activation_cycles,
-        );
-    }
-
-    /// Counts `n` whole blocks from global block index `block`: the
-    /// stripes they cover whole in closed form, the rest per stripe.
-    fn count_blocks(&mut self, mut block: u64, mut n: u64, is_write: bool) {
-        use crate::address::{fast_div, fast_mod};
-        let per_stripe = self.stripe.per_stripe;
-        let channels = self.config.channels as u64;
-        while n > 0 {
-            let stripe = fast_div(block, per_stripe);
-            let offset = fast_mod(block, per_stripe);
-            if offset == 0 && n >= per_stripe {
-                let rows = fast_div(n, per_stripe);
-                self.fold_stripe();
-                let blocks_per_row = self.config.row_bytes / self.config.interleave_bytes;
-                let beats = blocks_per_row * self.block_beats();
-                for channel in &mut self.channels {
-                    channel.stream(
-                        stripe,
-                        rows,
-                        beats,
-                        self.config.row_bytes,
-                        is_write,
-                        self.config.activation_cycles,
-                    );
+        let span = plane.span.max(rows);
+        let (g, walk) = (&self.geometry, &mut self.walk);
+        // Row `i` sits at slot `⌊i·span / rows⌋`: `span / rows` slots
+        // after row `i - 1`, plus one each time the remainders
+        // `i·span mod rows` wrap around.
+        let (step, rem) = (span / rows, span % rows);
+        if step == 1 && g.interleave.rem(base) == 0 && g.interleave.rem(row_bytes) == 0 {
+            // Rows in adjacent slots meet on interleave boundaries, so each
+            // run of them goes as one range: from remainder `carry`, the
+            // next wrap comes after `⌈(rows - carry) / rem⌉` rows.
+            let (mut row, mut slot, mut carry) = (0, 0, 0);
+            while row < rows {
+                let run = match rem {
+                    0 => rows,
+                    _ => (rows - carry).div_ceil(rem),
                 }
-                block += rows * per_stripe;
-                n -= rows * per_stripe;
-                continue;
+                .min(rows - row);
+                walk.run(g, base + slot * row_bytes, run, row_bytes);
+                row += run;
+                slot += run + 1;
+                carry = (carry + run * rem).wrapping_sub(rows);
             }
-            let run = n.min(per_stripe - offset);
-            if self.stripe.stripe != Some(stripe) || self.stripe.is_write != is_write {
-                self.fold_stripe();
-            }
-            self.stripe.stripe = Some(stripe);
-            self.stripe.is_write = is_write;
-            // Every channel gets `run / channels` blocks, and the cyclic
-            // range of `run % channels` channels from `first` one more.
-            let slots = &mut self.stripe.blocks;
-            slots[0] += fast_div(run, channels) as i64;
-            let first = fast_mod(block, channels) as usize;
-            let last = first + fast_mod(run, channels) as usize;
-            if last > first {
-                slots[first] += 1;
-                if last <= channels as usize {
-                    slots[last] -= 1;
-                } else {
-                    slots[0] += 1;
-                    slots[last - channels as usize] -= 1;
+        } else {
+            let (mut addr, mut carry) = (base, 0);
+            for _ in 0..rows {
+                walk.row(g, addr, row_bytes);
+                addr += step * row_bytes;
+                carry += rem;
+                if carry >= rows {
+                    carry -= rows;
+                    addr += row_bytes;
                 }
             }
-            block += run;
-            n -= run;
         }
+        walk.land(g, &mut self.channels, row_bytes, kind == RequestKind::Write);
     }
 
-    /// Beats one whole interleave block takes.
-    fn block_beats(&self) -> u64 {
-        self.config
-            .interleave_bytes
-            .div_ceil(self.config.bytes_per_cycle)
-    }
-
-    /// Moves the counted blocks into the channels: one access per channel
-    /// that holds any.
-    fn fold_stripe(&mut self) {
-        let Some(row) = self.stripe.stripe.take() else {
-            return;
-        };
-        let (block_beats, interleave) = (self.block_beats(), self.config.interleave_bytes);
-        let mut blocks = 0i64;
-        for (channel, slot) in self.channels.iter_mut().zip(&mut self.stripe.blocks) {
-            blocks += std::mem::take(slot);
-            if blocks > 0 {
-                let blocks = blocks as u64;
-                channel.stream(
-                    row,
-                    1,
-                    blocks * block_beats,
-                    blocks * interleave,
-                    self.stripe.is_write,
-                    self.config.activation_cycles,
-                );
-            }
-        }
-        *self.stripe.blocks.last_mut().expect("channels + 1 slots") = 0;
-    }
-
-    /// Ends the window: places what is still pending and returns the
-    /// window's statistics.
+    /// Ends the window and returns its statistics.
     ///
     /// The batch latency is the busy time of the slowest channel — the
     /// datapath overlaps DRAM access with compute, so this is the number the
     /// pipeline model needs.
     pub fn drain(&mut self) -> DrainStats {
-        if let Some(run) = self.run.take() {
-            self.place(run);
-        }
-        self.fold_stripe();
         let mut stats = DrainStats {
             cycles: 0,
             total_channel_busy: 0,
@@ -367,11 +258,7 @@ impl Hbm {
 
     /// Convenience: enqueue one contiguous read at `addr` and drain.
     pub fn read(&mut self, addr: u64, bytes: u64) -> DrainStats {
-        self.enqueue(Request {
-            addr,
-            bytes,
-            kind: RequestKind::Read,
-        });
+        self.enqueue(Plane::range(addr, bytes, RequestKind::Read));
         self.drain()
     }
 
@@ -393,6 +280,261 @@ impl Hbm {
     /// Ideal (fully interleaved, row-hit) cycles to move `bytes`.
     pub fn ideal_cycles(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.config.bytes_per_cycle * self.config.channels as u64)
+    }
+}
+
+/// What a plane's rows owe the channels, gathered in one walk over the
+/// rows in address order and landed on the channels once at its end.
+#[derive(Debug, Clone)]
+struct Walk {
+    /// Rows per key `offset × channels + channel`: rows that start
+    /// `offset` bytes into an interleave block of `channel`.
+    rows: Vec<u64>,
+    /// The keys `rows` holds a count for.
+    keys: Vec<usize>,
+    /// Difference array (`channels + 1` slots) of each channel's whole
+    /// blocks: a channel holds the sum of the slots up to its own.
+    blocks: Vec<i64>,
+    /// The stripe the walk is in, and the channels it marked there.
+    stripe: u64,
+    mask: u64,
+    /// The stripes behind the walk that every channel touched.
+    full: Stripes,
+    /// Per channel, the other stripes behind the walk it touched.
+    partial: Vec<Stripes>,
+}
+
+/// Some of a plane's row stripes, in increasing order: how many, the
+/// first and the last.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stripes {
+    count: u64,
+    first: u64,
+    last: u64,
+}
+
+impl Stripes {
+    fn add(&mut self, stripe: u64) {
+        if self.count == 0 {
+            self.first = stripe;
+        }
+        self.count += 1;
+        self.last = stripe;
+    }
+
+    /// The union of two disjoint sets.
+    fn union(self, other: Stripes) -> Stripes {
+        match (self.count, other.count) {
+            (0, _) => other,
+            (_, 0) => self,
+            _ => Stripes {
+                count: self.count + other.count,
+                first: self.first.min(other.first),
+                last: self.last.max(other.last),
+            },
+        }
+    }
+}
+
+/// The configuration as the walk reads it: divisors for what it divides
+/// by per row.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    interleave: Divisor,
+    channels: Divisor,
+    /// Interleave blocks per row stripe.
+    stripe_blocks: Divisor,
+    bytes_per_cycle: u64,
+    activation_cycles: u64,
+}
+
+impl Geometry {
+    fn new(config: &HbmConfig) -> Self {
+        let channels = config.channels as u64;
+        Self {
+            interleave: Divisor::new(config.interleave_bytes),
+            channels: Divisor::new(channels),
+            stripe_blocks: Divisor::new(channels * (config.row_bytes / config.interleave_bytes)),
+            bytes_per_cycle: config.bytes_per_cycle,
+            activation_cycles: config.activation_cycles,
+        }
+    }
+
+    /// The channels `blocks` consecutive blocks from global block
+    /// `first` land on.
+    #[inline(always)]
+    fn channel_mask(&self, first: u64, blocks: u64) -> u64 {
+        let (all, channels) = (self.all(), self.channels.get());
+        if blocks >= channels {
+            return all;
+        }
+        let run = ((1u128 << blocks) - 1) << self.channels.rem(first);
+        (run | run >> channels) as u64 & all
+    }
+
+    /// The mask of every channel.
+    fn all(&self) -> u64 {
+        u64::MAX >> (64 - self.channels.get())
+    }
+}
+
+impl Walk {
+    fn new(config: &HbmConfig) -> Self {
+        Self {
+            rows: vec![0; config.interleave_bytes as usize * config.channels],
+            keys: Vec::new(),
+            blocks: vec![0; config.channels + 1],
+            stripe: 0,
+            mask: 0,
+            full: Stripes::default(),
+            partial: vec![Stripes::default(); config.channels],
+        }
+    }
+
+    /// Counts one row of `bytes` bytes at `addr` under its key and marks
+    /// its channels.
+    #[inline(always)]
+    fn row(&mut self, g: &Geometry, addr: u64, bytes: u64) {
+        let block = g.interleave.div(addr);
+        let key = g.interleave.rem(addr) * g.channels.get() + g.channels.rem(block);
+        let count = &mut self.rows[key as usize];
+        if *count == 0 {
+            self.keys.push(key as usize);
+        }
+        *count += 1;
+        self.mark(g, block, g.interleave.div(addr + bytes - 1));
+    }
+
+    /// Places `rows` adjacent, interleave-aligned rows from `start`: one
+    /// row by key, more as whole blocks.
+    fn run(&mut self, g: &Geometry, start: u64, rows: u64, row_bytes: u64) {
+        if rows == 1 {
+            self.row(g, start, row_bytes);
+            return;
+        }
+        let block = g.interleave.div(start);
+        let blocks = g.interleave.div(rows * row_bytes);
+        self.count_blocks(g, g.channels.rem(block), blocks, 1);
+        self.mark(g, block, block + blocks - 1);
+    }
+
+    /// Counts `times` copies of `blocks` whole blocks from `channel` on.
+    fn count_blocks(&mut self, g: &Geometry, channel: u64, blocks: u64, times: u64) {
+        // Every channel gets `blocks / channels` blocks, and the cyclic
+        // range of `blocks % channels` channels from `channel` one more.
+        let (slots, times) = (&mut self.blocks, times as i64);
+        slots[0] += times * g.channels.div(blocks) as i64;
+        let (first, channels) = (channel as usize, g.channels.get() as usize);
+        let last = first + g.channels.rem(blocks) as usize;
+        if last > first {
+            slots[first] += times;
+            if last <= channels {
+                slots[last] -= times;
+            } else {
+                slots[0] += times;
+                slots[last - channels] -= times;
+            }
+        }
+    }
+
+    /// Marks the channels of blocks `first..=last` in the stripes that
+    /// hold them.
+    #[inline(always)]
+    fn mark(&mut self, g: &Geometry, first: u64, last: u64) {
+        let (from, to) = (g.stripe_blocks.div(first), g.stripe_blocks.div(last));
+        let per_stripe = g.stripe_blocks.get();
+        if from != self.stripe {
+            self.close(g);
+            self.stripe = from;
+        }
+        if from == to {
+            self.mask |= g.channel_mask(first, last - first + 1);
+            return;
+        }
+        self.mask |= g.channel_mask(first, (from + 1) * per_stripe - first);
+        for stripe in from + 1..=to {
+            self.close(g);
+            self.stripe = stripe;
+            self.mask = g.channel_mask(stripe * per_stripe, last + 1 - stripe * per_stripe);
+        }
+    }
+
+    /// Records the current stripe for the channels it marked.
+    fn close(&mut self, g: &Geometry) {
+        let mut mask = std::mem::take(&mut self.mask);
+        if mask == g.all() {
+            self.full.add(self.stripe);
+            return;
+        }
+        while mask != 0 {
+            let channel = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            self.partial[channel].add(self.stripe);
+        }
+    }
+
+    /// Adds `times` copies of the chunks of `bytes` bytes that start
+    /// `offset` bytes into a block of `channel`: a first chunk to the
+    /// block's end, whole blocks, and a partial last chunk.
+    fn add_chunks(
+        &mut self,
+        g: &Geometry,
+        channels: &mut [Channel],
+        (offset, channel): (u64, u64),
+        bytes: u64,
+        times: u64,
+        is_write: bool,
+    ) {
+        let beats = |bytes: u64| times * bytes.div_ceil(g.bytes_per_cycle);
+        let interleave = g.interleave.get();
+        let head = (interleave - offset).min(bytes);
+        channels[channel as usize].transfer(beats(head), times * head, is_write);
+        let blocks = (bytes - head) / interleave;
+        let tail = bytes - head - blocks * interleave;
+        if tail > 0 {
+            let last = g.channels.rem(channel + 1 + blocks) as usize;
+            channels[last].transfer(beats(tail), times * tail, is_write);
+        }
+        if blocks > 0 {
+            self.count_blocks(g, g.channels.rem(channel + 1), blocks, times);
+        }
+    }
+
+    /// Opens each channel's stripes, adds every counted chunk and block
+    /// to the channels, and empties the walk.
+    fn land(&mut self, g: &Geometry, channels: &mut [Channel], row_bytes: u64, is_write: bool) {
+        self.close(g);
+        let full = std::mem::take(&mut self.full);
+        for (channel, partial) in channels.iter_mut().zip(&mut self.partial) {
+            let stripes = std::mem::take(partial).union(full);
+            if stripes.count > 0 {
+                channel.open_rows(
+                    stripes.first,
+                    stripes.last,
+                    stripes.count,
+                    g.activation_cycles,
+                );
+            }
+        }
+        let keys = std::mem::take(&mut self.keys);
+        for &key in &keys {
+            let times = std::mem::take(&mut self.rows[key]);
+            let key = (g.channels.div(key as u64), g.channels.rem(key as u64));
+            self.add_chunks(g, channels, key, row_bytes, times, is_write);
+        }
+        self.keys = keys;
+        self.keys.clear();
+        let interleave = g.interleave.get();
+        let block_beats = interleave.div_ceil(g.bytes_per_cycle);
+        let mut blocks = 0i64;
+        for (channel, slot) in channels.iter_mut().zip(&mut self.blocks) {
+            blocks += std::mem::take(slot);
+            if blocks > 0 {
+                let blocks = blocks as u64;
+                channel.transfer(blocks * block_beats, blocks * interleave, is_write);
+            }
+        }
+        *self.blocks.last_mut().expect("channels + 1 slots") = 0;
     }
 }
 
@@ -429,15 +571,14 @@ mod tests {
     fn single_channel_hotspot_is_16x_slower() {
         let cfg = HbmConfig::default();
         let mut h = Hbm::new(cfg);
-        // Only touch channel 0 blocks: addresses k * (interleave*channels).
-        let stride = cfg.interleave_bytes * cfg.channels as u64;
-        for k in 0..512u64 {
-            h.enqueue(Request {
-                addr: k * stride,
-                bytes: cfg.interleave_bytes,
-                kind: RequestKind::Read,
-            });
-        }
+        // Only touch channel 0 blocks: one block in every `channels`.
+        h.enqueue(Plane {
+            base: 0,
+            rows: 512,
+            span: 512 * cfg.channels as u64,
+            row_bytes: cfg.interleave_bytes,
+            kind: RequestKind::Read,
+        });
         let hot = h.drain();
         let mut h2 = Hbm::new(cfg);
         let seq = h2.read(0, 512 * cfg.interleave_bytes);
@@ -454,14 +595,14 @@ mod tests {
         let cfg = HbmConfig::default();
         let mut h = Hbm::new(cfg);
         // Touch one block in each of 64 different rows of channel 0.
-        let row_stride = cfg.row_bytes * cfg.channels as u64;
-        for k in 0..64u64 {
-            h.enqueue(Request {
-                addr: k * row_stride,
-                bytes: 32,
-                kind: RequestKind::Read,
-            });
-        }
+        let blocks_per_stripe = cfg.row_bytes / 32 * cfg.channels as u64;
+        h.enqueue(Plane {
+            base: 0,
+            rows: 64,
+            span: 64 * blocks_per_stripe,
+            row_bytes: 32,
+            kind: RequestKind::Read,
+        });
         let stats = h.drain();
         assert_eq!(stats.activations, 64);
         assert!(stats.cycles >= 64 * cfg.activation_cycles);
@@ -470,11 +611,7 @@ mod tests {
     #[test]
     fn writes_are_counted_separately() {
         let mut h = hbm();
-        h.enqueue(Request {
-            addr: 0,
-            bytes: 4096,
-            kind: RequestKind::Write,
-        });
+        h.enqueue(Plane::range(0, 4096, RequestKind::Write));
         let stats = h.drain();
         assert_eq!(stats.write_bytes, 4096);
         assert_eq!(stats.read_bytes, 0);
@@ -497,9 +634,10 @@ mod tests {
         assert!((cfg.peak_bandwidth_gbps() - 512.0).abs() < 1e-9);
     }
 
-    /// The old per-chunk model, kept as the oracle for the coalesced
-    /// fast path: one queue entry and one row-buffer access per
-    /// interleave chunk, addresses decoded one by one.
+    /// The per-chunk model, kept as the oracle for the plane path: every
+    /// row placed on its own at `base + ⌊i·span/rows⌋·row_bytes`, one
+    /// queue entry and one row-buffer access per interleave chunk,
+    /// addresses decoded one by one.
     struct RefHbm {
         cfg: HbmConfig,
         map: AddressMap,
@@ -517,17 +655,20 @@ mod tests {
             }
         }
 
-        fn enqueue(&mut self, req: Request) {
-            let is_write = req.kind == RequestKind::Write;
-            let mut addr = req.addr;
-            let mut remaining = req.bytes;
-            while remaining > 0 {
-                let within = addr % self.cfg.interleave_bytes;
-                let chunk = (self.cfg.interleave_bytes - within).min(remaining);
-                let d = self.map.decode(addr);
-                self.queues[d.channel].push((d.row, chunk, is_write));
-                addr += chunk;
-                remaining -= chunk;
+        fn enqueue(&mut self, plane: Plane) {
+            let is_write = plane.kind == RequestKind::Write;
+            let span = plane.span.max(plane.rows);
+            for i in 0..plane.rows {
+                let mut addr = plane.base + i * span / plane.rows * plane.row_bytes;
+                let mut remaining = plane.row_bytes;
+                while remaining > 0 {
+                    let within = addr % self.cfg.interleave_bytes;
+                    let chunk = (self.cfg.interleave_bytes - within).min(remaining);
+                    let d = self.map.decode(addr);
+                    self.queues[d.channel].push((d.row, chunk, is_write));
+                    addr += chunk;
+                    remaining -= chunk;
+                }
             }
         }
 
@@ -596,14 +737,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Run coalescing, the stripe block counts and the closed-form
-        /// whole stripes drain to exactly what accessing every interleave
-        /// chunk on its own gives, draining after every op that asks for
-        /// it and at the end, on every config — lifetime counters
-        /// included.
+        /// Planes drain to exactly what accessing every interleave chunk
+        /// of every row on its own gives, mixed with one-row requests of
+        /// every shape, draining after every op that asks for it and at
+        /// the end, on every config — lifetime counters included.
         #[test]
         fn coalesced_enqueue_matches_per_chunk_reference(
-            ops in prop::collection::vec((0u8..9, 0u64..4096, 0u64..64, 0u64..4096), 1..48),
+            ops in prop::collection::vec((0u8..10, 0u64..4096, 0u64..64, 0u64..4096), 1..48),
         ) {
             for cfg in property_configs() {
                 let mut fast = Hbm::new(cfg);
@@ -611,61 +751,61 @@ mod tests {
                 let stripe = cfg.channels as u64 * cfg.row_bytes;
                 let mut cursor = 0u64;
                 let mut sums = [0u64; 3];
-                let mut reqs = Vec::new();
+                let mut planes = Vec::new();
                 for (i, &(op, a, b, c)) in ops.iter().enumerate() {
                     let kind = if b % 2 == 0 { RequestKind::Read } else { RequestKind::Write };
-                    reqs.clear();
+                    let range = |addr, bytes, kind| Plane::range(addr, bytes, kind);
+                    planes.clear();
                     match op {
-                        // Gapped token rows: `tokens` survivors scattered
-                        // over `span` slots, as the cost model's K/V planes.
+                        // Gapped token rows, one request each: `tokens`
+                        // survivors scattered over `span` slots.
                         0 | 1 => {
                             let bpt = ROW_BYTES[(a % 8) as usize];
                             let tokens = b + 1;
                             let span = tokens + c % 96;
                             for t in 0..tokens {
                                 let addr = cursor + (t * span / tokens) * bpt;
-                                reqs.push(Request { addr, bytes: bpt, kind: RequestKind::Read });
+                                planes.push(range(addr, bpt, RequestKind::Read));
                             }
                             cursor += span * bpt;
                         }
                         // One request with an unaligned head and tail.
                         2 => {
-                            reqs.push(Request { addr: cursor + a % 97, bytes: c + 1, kind });
+                            planes.push(range(cursor + a % 97, c + 1, kind));
                             cursor += a % 97 + c + 1;
                         }
                         // Backwards: re-touch rows behind the cursor.
                         3 => {
                             let addr = cursor.saturating_sub(a * 7);
-                            reqs.push(Request { addr, bytes: c % 2048 + 1, kind });
+                            planes.push(range(addr, c % 2048 + 1, kind));
                         }
                         // Straddle a row-stripe boundary.
                         4 => {
                             let edge = (cursor / stripe + 1) * stripe;
                             let back = (a % 3).min(edge / 32) * 32 + b % 3;
-                            reqs.push(Request { addr: edge - back, bytes: back + c + 1, kind });
+                            planes.push(range(edge - back, back + c + 1, kind));
                             cursor = edge + c + 1;
                         }
-                        // A write interleaved between two aligned reads.
+                        // A write between two aligned reads.
                         5 => {
                             let bpt = ROW_BYTES[(a % 5) as usize];
                             for (j, kind) in [RequestKind::Read, RequestKind::Write, RequestKind::Read]
                                 .into_iter()
                                 .enumerate()
                             {
-                                reqs.push(Request { addr: cursor + j as u64 * bpt, bytes: bpt, kind });
+                                planes.push(range(cursor + j as u64 * bpt, bpt, kind));
                             }
                             cursor += 3 * bpt;
                         }
                         // A long aligned run across many stripes, or nothing.
                         6 => {
                             let bytes = if c % 8 == 0 { 0 } else { c * 32 };
-                            reqs.push(Request { addr: cursor / 32 * 32, bytes, kind });
+                            planes.push(range(cursor / 32 * 32, bytes, kind));
                             cursor += bytes;
                         }
-                        // Back-to-back token rows of every size, as an
-                        // unpruned plane: runs of requests that coalesce
-                        // on interleave boundaries, broken by a gap or
-                        // ended by an adjoining write.
+                        // Back-to-back token rows of every size, one
+                        // request each, broken by a gap or ended by an
+                        // adjoining write.
                         7 => {
                             let tokens = b + 1;
                             for bpt in ROW_BYTES {
@@ -673,23 +813,41 @@ mod tests {
                                     if a % 2 == 1 && t == tokens / 2 {
                                         cursor += c % 97 + 1;
                                     }
-                                    reqs.push(Request { addr: cursor, bytes: bpt, kind: RequestKind::Read });
+                                    planes.push(range(cursor, bpt, RequestKind::Read));
                                     cursor += bpt;
                                 }
                                 if a % 3 == 0 {
-                                    reqs.push(Request { addr: cursor, bytes: bpt, kind: RequestKind::Write });
+                                    planes.push(range(cursor, bpt, RequestKind::Write));
                                     cursor += bpt;
                                 }
                             }
                         }
+                        // A plane: 1–400 rows of any size from a base on
+                        // both interleaves (24 and 32 bytes) or off them,
+                        // back to back, with gaps of one row, or with
+                        // gaps of many.
+                        8 => {
+                            let row_bytes = ROW_BYTES[(a % 8) as usize];
+                            let skew = if a / 8 % 2 == 0 { 0 } else { a / 16 % 97 };
+                            let base = cursor.div_ceil(96) * 96 + skew;
+                            let rows = c % 400 + 1;
+                            let span = match c / 400 % 3 {
+                                0 => rows,
+                                1 => rows + rows / (b % 8 + 1),
+                                _ => rows * (b % 6 + 2) + b,
+                            };
+                            let kind = if a / 2048 == 0 { RequestKind::Read } else { RequestKind::Write };
+                            planes.push(Plane { base, rows, span, row_bytes, kind });
+                            cursor = base + span * row_bytes;
+                        }
                         // Drain mid-stream.
                         _ => {}
                     }
-                    for &req in &reqs {
-                        fast.enqueue(req);
-                        slow.enqueue(req);
+                    for &plane in &planes {
+                        fast.enqueue(plane);
+                        slow.enqueue(plane);
                     }
-                    if op == 8 || i + 1 == ops.len() {
+                    if op == 9 || i + 1 == ops.len() {
                         let got = fast.drain();
                         let want = slow.drain();
                         prop_assert_eq!(got, want);

@@ -13,12 +13,12 @@
 //! The model is deterministic, with an open-page row-buffer policy. Its
 //! reference semantics are per chunk: a request splits into
 //! interleave-sized chunks, and each is one access to its channel's row,
-//! in request order. [`Hbm::enqueue`] reaches exactly the same
-//! [`DrainStats`] without queueing a chunk: back-to-back requests
-//! coalesce into runs, and a run's blocks are counted per channel one row
-//! stripe at a time (see its docs for why that is exact). A property test
-//! checks it against a per-chunk reference model on random request
-//! streams.
+//! in request order. Traffic arrives as [`Plane`]s — the token rows
+//! cascade pruning leaves of one tensor plane, a plain request being a
+//! one-row plane — and [`Hbm::enqueue`] places a whole plane in one walk
+//! without queueing a chunk, reaching exactly the same [`DrainStats`]
+//! (its docs say why). A property test checks it against a per-chunk
+//! reference model on random plane and request streams.
 
 pub mod address;
 pub mod channel;
@@ -26,4 +26,4 @@ pub mod device;
 
 pub use address::{AddressMap, DecodedAddress};
 pub use channel::{Channel, RowBufferOutcome};
-pub use device::{DrainStats, Hbm, HbmConfig, Request, RequestKind};
+pub use device::{DrainStats, Hbm, HbmConfig, Plane, RequestKind};

@@ -28,7 +28,7 @@ use spatten_core::{
 use spatten_nn::ModelConfig;
 use spatten_workloads::fleet::LinkSpec;
 use spatten_workloads::spec::BitwidthScheme;
-use spatten_workloads::Workload;
+use spatten_workloads::{PruningSpec, QuantPolicy, Workload};
 use std::ops::Range;
 
 /// Decode context lengths are bucketed to this granularity for memoization
@@ -70,19 +70,44 @@ pub struct ClassKey {
 }
 
 impl ClassKey {
-    /// The class fingerprint of `w`.
+    /// The class fingerprint of `w`. Destructures `Workload`,
+    /// `PruningSpec` and `QuantPolicy` without a rest pattern on purpose,
+    /// naming the length and seed fields it leaves out: adding a field to
+    /// any of them must fail to compile here (and in `ClassKey::matches`),
+    /// not silently price one class as another.
     pub fn of(w: &Workload) -> Self {
+        let Workload {
+            name,
+            model,
+            seq_len: _,
+            gen_steps: _,
+            pruning,
+            quant,
+            seed: _,
+        } = w;
+        let PruningSpec {
+            token_avg_keep,
+            head_avg_keep,
+            token_front_frac,
+            head_front_frac,
+            local_value_keep,
+        } = pruning;
+        let QuantPolicy {
+            scheme,
+            progressive,
+            lsb_threshold,
+        } = quant;
         Self {
-            name: w.name.clone(),
-            model: w.model,
-            token_avg_keep: w.pruning.token_avg_keep.to_bits(),
-            head_avg_keep: w.pruning.head_avg_keep.to_bits(),
-            token_front_frac: w.pruning.token_front_frac.to_bits(),
-            head_front_frac: w.pruning.head_front_frac.to_bits(),
-            local_value_keep: w.pruning.local_value_keep.to_bits(),
-            scheme: w.quant.scheme,
-            progressive: w.quant.progressive,
-            lsb_threshold: w.quant.lsb_threshold.to_bits(),
+            name: name.clone(),
+            model: *model,
+            token_avg_keep: token_avg_keep.to_bits(),
+            head_avg_keep: head_avg_keep.to_bits(),
+            token_front_frac: token_front_frac.to_bits(),
+            head_front_frac: head_front_frac.to_bits(),
+            local_value_keep: local_value_keep.to_bits(),
+            scheme: *scheme,
+            progressive: *progressive,
+            lsb_threshold: lsb_threshold.to_bits(),
         }
     }
 
@@ -91,16 +116,37 @@ impl ClassKey {
     /// first (pruning policy separates a trace's classes from their
     /// unpruned twins long before the name string is ever compared).
     fn matches(&self, w: &Workload) -> bool {
-        self.token_avg_keep == w.pruning.token_avg_keep.to_bits()
-            && self.head_avg_keep == w.pruning.head_avg_keep.to_bits()
-            && self.token_front_frac == w.pruning.token_front_frac.to_bits()
-            && self.head_front_frac == w.pruning.head_front_frac.to_bits()
-            && self.local_value_keep == w.pruning.local_value_keep.to_bits()
-            && self.scheme == w.quant.scheme
-            && self.progressive == w.quant.progressive
-            && self.lsb_threshold == w.quant.lsb_threshold.to_bits()
-            && self.model == w.model
-            && self.name == w.name
+        let Workload {
+            name,
+            model,
+            seq_len: _,
+            gen_steps: _,
+            pruning,
+            quant,
+            seed: _,
+        } = w;
+        let PruningSpec {
+            token_avg_keep,
+            head_avg_keep,
+            token_front_frac,
+            head_front_frac,
+            local_value_keep,
+        } = pruning;
+        let QuantPolicy {
+            scheme,
+            progressive,
+            lsb_threshold,
+        } = quant;
+        self.token_avg_keep == token_avg_keep.to_bits()
+            && self.head_avg_keep == head_avg_keep.to_bits()
+            && self.token_front_frac == token_front_frac.to_bits()
+            && self.head_front_frac == head_front_frac.to_bits()
+            && self.local_value_keep == local_value_keep.to_bits()
+            && self.scheme == *scheme
+            && self.progressive == *progressive
+            && self.lsb_threshold == lsb_threshold.to_bits()
+            && self.model == *model
+            && self.name == *name
     }
 }
 
@@ -609,6 +655,51 @@ fn price_miss(cfg: &SpAttenConfig, e2e: Option<&SpAttenE2e>, w: &Workload, kind:
     }
 }
 
+/// The pre-warm work grid: for every shard's representative slot in
+/// `slots`, every exemplar's prefill plus every decode bucket its
+/// generation range touches, as `(slot, exemplar, miss)` in the order
+/// first named. Serving prices decode from context `seq_len + 1` on
+/// (`Chip::start_round`, `first_token_on`, `remaining_cycles_on`), so a
+/// job's buckets are those of contexts `seq_len + 1 ..= seq_len +
+/// gen_steps`. Each `(shard, class, length)` is named once, deduped the
+/// way the memo collapses them (prefill by exact length, decode by
+/// bucket) in dense tables like the memo's own.
+fn work_grid(
+    exemplars: &[Workload],
+    exemplar_class: &[usize],
+    slots: &[usize],
+    classes: usize,
+) -> Vec<(usize, usize, Miss)> {
+    /// Marks `idx` in `row`, and says whether it was unmarked.
+    fn first_visit(row: &mut Vec<bool>, idx: usize) -> bool {
+        if row.len() <= idx {
+            row.resize(idx + 1, false);
+        }
+        !std::mem::replace(&mut row[idx], true)
+    }
+    let mut prefill_seen = vec![Vec::new(); slots.len() * classes];
+    let mut decode_seen = prefill_seen.clone();
+    let mut items = Vec::new();
+    for (ex, w) in exemplars.iter().enumerate() {
+        for (shard, &slot) in slots.iter().enumerate() {
+            let row = shard * classes + exemplar_class[ex];
+            if first_visit(&mut prefill_seen[row], w.seq_len) {
+                items.push((slot, ex, Miss::Prefill));
+            }
+            if w.gen_steps == 0 {
+                continue;
+            }
+            let first = (w.seq_len + 1).div_ceil(CTX_BUCKET);
+            for idx in first..=(w.seq_len + w.gen_steps).div_ceil(CTX_BUCKET) {
+                if first_visit(&mut decode_seen[row], idx) {
+                    items.push((slot, ex, Miss::Decode(idx)));
+                }
+            }
+        }
+    }
+    items
+}
+
 impl FleetCost for CostModel {
     fn prefill_on(&mut self, chip: usize, w: &Workload) -> StepCost {
         let slot = self.slot(chip);
@@ -752,11 +843,7 @@ impl FleetCost for CostModel {
                 exemplar_class.push(class);
             }
         }
-        // Pass 2: the work grid — for every distinct chip configuration,
-        // every exemplar's prefill plus every decode bucket its
-        // generation range can touch. Deduped the same way the memo
-        // would collapse them (prefill by exact length, decode by
-        // bucket), so no item is priced twice.
+        // Pass 2: the work grid.
         let rep_slots: Vec<usize> = (0..self.shards.len())
             .map(|shard| {
                 self.slot_shards
@@ -765,23 +852,7 @@ impl FleetCost for CostModel {
                     .expect("every shard has a slot")
             })
             .collect();
-        let mut items: Vec<(usize, usize, Miss)> = Vec::new();
-        let mut prefill_seen: HashSet<(usize, usize, usize)> = HashSet::new();
-        let mut decode_seen: HashSet<(usize, usize, usize)> = HashSet::new();
-        for (ex, w) in exemplars.iter().enumerate() {
-            let class = exemplar_class[ex];
-            for &slot in &rep_slots {
-                if prefill_seen.insert((slot, class, w.seq_len)) {
-                    items.push((slot, ex, Miss::Prefill));
-                }
-                for step in 0..=w.gen_steps {
-                    let idx = (w.seq_len + step).max(1).div_ceil(CTX_BUCKET);
-                    if decode_seen.insert((slot, class, idx)) {
-                        items.push((slot, ex, Miss::Decode(idx)));
-                    }
-                }
-            }
-        }
+        let items = work_grid(&exemplars, &exemplar_class, &rep_slots, intern.keys.len());
         // Pass 3: price the grid. Worker `t` takes every `threads`-th
         // item from `t`, inline when there is one worker and on scoped
         // threads otherwise; all share the oracle's e2e FC models.
@@ -845,6 +916,54 @@ mod tests {
 
     fn model() -> CostModel {
         CostModel::end_to_end(SpAttenConfig::default(), 8)
+    }
+
+    #[test]
+    fn prewarm_grid_names_exactly_the_lengths_serving_prices() {
+        // Lengths on and off bucket edges, jobs with no generation steps,
+        // a second class, and a repeated job.
+        let gpt2 = Benchmark::gpt2_small_wikitext2().workload();
+        let bert = Benchmark::bert_base_sst2().workload();
+        let jobs = [
+            (&gpt2, 0, 16, 1),
+            (&gpt2, 0, 32, 16),
+            (&gpt2, 0, 33, 15),
+            (&gpt2, 0, 47, 2),
+            (&gpt2, 0, 48, 0),
+            (&gpt2, 0, 16, 1),
+            (&bert, 1, 64, 0),
+            (&bert, 1, 128, 32),
+        ];
+        let exemplars: Vec<Workload> = jobs
+            .iter()
+            .map(|&(w, _, seq_len, gen_steps)| Workload {
+                seq_len,
+                gen_steps,
+                ..w.clone()
+            })
+            .collect();
+        let classes: Vec<usize> = jobs.iter().map(|j| j.1).collect();
+        let slots = [0, 3];
+        let grid = work_grid(&exemplars, &classes, &slots, 2);
+        let named: std::collections::HashSet<_> = grid
+            .iter()
+            .map(|&(slot, ex, miss)| match miss {
+                Miss::Prefill => (slot, classes[ex], false, exemplars[ex].seq_len),
+                Miss::Decode(idx) => (slot, classes[ex], true, idx),
+            })
+            .collect();
+        assert_eq!(named.len(), grid.len(), "an item is named twice");
+        // The reference walks every context serving decodes at.
+        let mut want = std::collections::HashSet::new();
+        for (w, &class) in exemplars.iter().zip(&classes) {
+            for &slot in &slots {
+                want.insert((slot, class, false, w.seq_len));
+                for context in w.seq_len + 1..=w.seq_len + w.gen_steps {
+                    want.insert((slot, class, true, context.div_ceil(CTX_BUCKET)));
+                }
+            }
+        }
+        assert_eq!(named, want);
     }
 
     #[test]
