@@ -52,6 +52,9 @@ pub const CHURN_HALF_LIFE_CYCLES: u64 = 10_000_000;
 #[derive(Debug, Clone)]
 struct Active {
     job: Job,
+    /// KV bytes the job holds here: its whole reservation, or paged, its
+    /// unique pages — with the curve in [`Job::kv_need`], the job's page
+    /// table.
     footprint: u64,
     start_cycles: u64,
     first_token_cycles: Option<u64>,
@@ -393,9 +396,9 @@ impl Chip {
                 start_cycles: a.start_cycles,
                 first_token_cycles: a.first_token_cycles,
             };
-            let moved = self.kv.unmap(a.job.id, a.footprint, now);
+            self.kv.unmap(self.id, &a.job, a.footprint, now);
             let w = &a.job.workload;
-            self.pending_swap_cycles += self.kv.swap_cycles(cost, self.id, w, &resume, moved);
+            self.pending_swap_cycles += self.kv.swap_cycles(cost, self.id, w, &resume, a.footprint);
             self.evictions += 1;
             let mut job = a.job;
             job.preemptions += 1;
@@ -448,10 +451,10 @@ impl Chip {
                 start_cycles: a.start_cycles,
                 first_token_cycles: a.first_token_cycles,
             };
-            let dirty = self.kv.unmap(a.job.id, a.footprint, now);
+            self.kv.unmap(self.id, &a.job, a.footprint, now);
             let mut job = a.job;
             job.resume = Some(resume);
-            out.push((job, dirty));
+            out.push((job, a.footprint));
         }
         out.reverse(); // resident order, for deterministic targeting
         out
@@ -538,6 +541,13 @@ impl Chip {
         self.busy_cycles += cycles;
         self.rounds += 1;
         self.occupancy_area += batch_size as u128 * u128::from(cycles);
+        // Residents hold their page tables, so only the chip can check
+        // that they and the store agree — once a round, after its
+        // reclaims and retirements and every map and unmap before it.
+        if cfg!(debug_assertions) {
+            self.kv
+                .assert_balanced(self.active.iter().map(|a| a.footprint).sum());
+        }
         Some(cycles)
     }
 
@@ -571,7 +581,7 @@ impl Chip {
         // The whole job retires in one round: the in-service estimate
         // charged at admission must be spent exactly.
         self.est_drift += a.est_remaining.abs_diff(total);
-        self.kv.unmap(a.job.id, a.footprint, now + total);
+        self.kv.unmap(self.id, &a.job, a.footprint, now + total);
         if self.record_tokens {
             self.token_log.push(TokenEvent {
                 id: a.job.id,
@@ -664,7 +674,9 @@ impl Chip {
                         // Cascade pruning retires tokens as decode
                         // proceeds: under paging, whole blocks return to
                         // the free pool while the job is still running.
-                        a.footprint = self.kv.reclaim(a.job.id, a.steps_done as u64, a.footprint);
+                        a.footprint = self
+                            .kv
+                            .reclaim(id, &a.job, a.steps_done as u64, a.footprint);
                         // The burst's first token is the step the view
                         // priced.
                         let s = if t == 0 {
@@ -743,7 +755,7 @@ impl Chip {
             let a = self.active.remove(i);
             // A retiring job must have spent its whole estimate.
             self.est_drift += a.est_remaining;
-            self.kv.unmap(a.job.id, a.footprint, end);
+            self.kv.unmap(self.id, &a.job, a.footprint, end);
             let generated = a.job.workload.gen_steps;
             self.finished
                 .push(Self::completion(&a, self.id, end, generated));

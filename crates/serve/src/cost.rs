@@ -51,13 +51,12 @@ pub fn representative(w: &Workload, len: usize) -> Workload {
 }
 
 /// Memo key: every timing-relevant field of a workload *except* lengths
-/// and seed. Two classes may share a benchmark name while differing in
-/// pruning or quantization, so the name alone would collide and silently
-/// price one class as the other. Float policy fields are keyed by bit
+/// and seed. The benchmark name is left out too: no price reads it (only
+/// the cycle model's run-report label does), so two classes that differ
+/// only by name share their prices. Float policy fields are keyed by bit
 /// pattern (exact equality is the right notion for "same class").
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ClassKey {
-    name: String,
     model: ModelConfig,
     token_avg_keep: u64,
     head_avg_keep: u64,
@@ -72,12 +71,12 @@ pub struct ClassKey {
 impl ClassKey {
     /// The class fingerprint of `w`. Destructures `Workload`,
     /// `PruningSpec` and `QuantPolicy` without a rest pattern on purpose,
-    /// naming the length and seed fields it leaves out: adding a field to
-    /// any of them must fail to compile here (and in `ClassKey::matches`),
-    /// not silently price one class as another.
+    /// naming the name, length and seed fields it leaves out: adding a
+    /// field to any of them must fail to compile here (and in
+    /// `ClassKey::matches`), not silently price one class as another.
     pub fn of(w: &Workload) -> Self {
         let Workload {
-            name,
+            name: _,
             model,
             seq_len: _,
             gen_steps: _,
@@ -98,7 +97,6 @@ impl ClassKey {
             lsb_threshold,
         } = quant;
         Self {
-            name: name.clone(),
             model: *model,
             token_avg_keep: token_avg_keep.to_bits(),
             head_avg_keep: head_avg_keep.to_bits(),
@@ -111,13 +109,13 @@ impl ClassKey {
         }
     }
 
-    /// Whether `w` belongs to this class — the allocation-free twin of
-    /// `ClassKey::of(w) == *self`, ordered cheapest-and-most-discriminating
-    /// first (pruning policy separates a trace's classes from their
-    /// unpruned twins long before the name string is ever compared).
+    /// Whether `w` belongs to this class — `ClassKey::of(w) == *self`
+    /// without building the key, ordered most-discriminating first
+    /// (pruning policy separates a trace's classes from their unpruned
+    /// twins).
     fn matches(&self, w: &Workload) -> bool {
         let Workload {
-            name,
+            name: _,
             model,
             seq_len: _,
             gen_steps: _,
@@ -146,7 +144,6 @@ impl ClassKey {
             && self.progressive == *progressive
             && self.lsb_threshold == lsb_threshold.to_bits()
             && self.model == *model
-            && self.name == *name
     }
 }
 

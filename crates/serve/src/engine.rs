@@ -375,8 +375,10 @@ impl Event {
 
 /// Index-based binary min-heap over [`Event`]s, ordered by `(time,
 /// seq)`. Hand-rolled rather than `BinaryHeap<Reverse<Event>>`: events
-/// are small `Copy` values sifted in place in one flat `Vec`, with no
-/// `Reverse` wrapper and no boxed payload.
+/// are small `Copy` values in one flat `Vec`, with no `Reverse` wrapper
+/// and no boxed payload. A sift moves the event once: each step shifts
+/// one neighbour into the hole, and the event lands where the hole
+/// stops.
 #[derive(Debug, Default)]
 struct EventHeap {
     heap: Vec<Event>,
@@ -387,24 +389,30 @@ impl EventHeap {
         self.heap.first()
     }
 
+    #[inline]
     fn push(&mut self, ev: Event) {
+        let key = ev.key();
+        let mut i = self.heap.len();
         self.heap.push(ev);
-        let mut i = self.heap.len() - 1;
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
+            if key >= self.heap[parent].key() {
                 break;
             }
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
+        self.heap[i] = ev;
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Event> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let ev = self.heap.pop();
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last);
+        };
+        // Sift the old last event down from the root's hole.
+        let key = last.key();
         let n = self.heap.len();
         let mut i = 0;
         loop {
@@ -417,14 +425,14 @@ impl EventHeap {
             if right < n && self.heap[right].key() < self.heap[left].key() {
                 best = right;
             }
-            if self.heap[best].key() < self.heap[i].key() {
-                self.heap.swap(i, best);
-                i = best;
-            } else {
+            if self.heap[best].key() >= key {
                 break;
             }
+            self.heap[i] = self.heap[best];
+            i = best;
         }
-        ev
+        self.heap[i] = last;
+        Some(top)
     }
 }
 

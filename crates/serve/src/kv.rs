@@ -54,16 +54,26 @@
 //! [`FleetCost::job_footprint_on`]. Paged, the fit charge is the job's
 //! **admission charge** ([`KvPager::admission_bytes`] — the blocks that
 //! would leave the available pool if the job mapped now), and a swap or
-//! handoff moves its **unique bytes** ([`KvPager::job_unique_bytes`] —
-//! shared prefix blocks stay resident). Both are exact block multiples,
-//! so admission against [`KvPager::available_bytes`] can never
+//! handoff moves its **unique bytes** (the resident's footprint — shared
+//! prefix blocks stay resident). Both are exact block multiples, so
+//! admission against [`KvPager::available_bytes`] can never
 //! over-commit.
+//!
+//! ## Residents own their page tables
+//!
+//! The pager keeps no per-job state. A resident's page table is the
+//! [`JobKvNeed`] it was mapped with (the curve in its [`Job::kv_need`]
+//! memo, priced for the chip it sits on) plus its unique bytes (the
+//! footprint the chip keeps per resident), and [`KvPager::reclaim`] and
+//! [`KvPager::unmap_job`] take both. The pager holds only the free pool
+//! and the prefix entries, so only the chip can check that residents'
+//! unique blocks, prefix blocks and free blocks add up to the total
+//! ([`ChipKv::assert_balanced`]).
 
 use crate::cost::FleetCost;
 use crate::request::{Job, ResumeState};
 use spatten_workloads::Workload;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// The paged allocator's block size: 16 KiB — fine enough that the
 /// pruning ramp frees blocks every few decode steps on the default GPT-2
@@ -192,6 +202,23 @@ impl JobKvNeed {
         need
     }
 
+    /// The curve paged resident `job` was mapped with on `chip`: mapping
+    /// prices through the memo ([`JobKvNeed::memoized`]), and nothing
+    /// prices a resident on another chip while it stays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's memo holds no price for `chip`.
+    fn mapped(job: &Job, chip: usize) -> Self {
+        match job.kv_need.0.get() {
+            Some((memo_chip, need)) if memo_chip == chip => need,
+            _ => panic!(
+                "job {} holds pages on chip {chip} it was not priced for",
+                job.id
+            ),
+        }
+    }
+
     /// Bytes held after `steps_done` decode steps: starts at
     /// `raw_bytes`, ramps linearly to `final_bytes` over `horizon`
     /// steps, then stays flat. Monotonically non-increasing in
@@ -221,6 +248,7 @@ impl PartialEq for KvNeedMemo {
 /// One cached (or live) shared prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PrefixEntry {
+    key: PrefixKey,
     /// Blocks currently resident (tail-trimming can shrink this below
     /// the full prefix; a later hit refills).
     blocks: u64,
@@ -231,14 +259,6 @@ struct PrefixEntry {
     /// Cycle timestamp of the last map/unmap touch (cache score
     /// tiebreak).
     last_use: u64,
-}
-
-/// One resident job's page table (unique blocks only; shared blocks
-/// live in the [`PrefixEntry`]).
-#[derive(Debug, Clone, Copy)]
-struct JobPages {
-    need: JobKvNeed,
-    unique_blocks: u64,
 }
 
 /// Cumulative page-accounting counters, reported per chip.
@@ -258,16 +278,17 @@ pub struct KvStats {
     pub cache_evicted_blocks: u64,
 }
 
-/// Fixed-block KV allocator for one chip: per-job page tables,
-/// refcounted copy-on-write prefix sharing, a scored persistent prefix
-/// cache, and pruning-curve reclaim. See the module docs for the model.
+/// Fixed-block KV allocator for one chip: the free pool, refcounted
+/// copy-on-write prefix sharing, a scored persistent prefix cache, and
+/// pruning-curve reclaim. Residents hold their own page tables (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct KvPager {
-    block_bytes: u64,
     total_blocks: u64,
     free_blocks: u64,
-    jobs: HashMap<u64, JobPages>,
-    prefixes: HashMap<PrefixKey, PrefixEntry>,
+    /// Prefix entries, unordered: a chip holds one per class it has
+    /// seen, so a linear scan finds one faster than a hash would.
+    prefixes: Vec<PrefixEntry>,
     /// Blocks held by refcount-0 entries of `prefixes`, updated wherever
     /// a refcount crosses zero or the cache is trimmed — every fit check
     /// reads it, so it is kept rather than summed per call.
@@ -278,24 +299,16 @@ pub struct KvPager {
 
 impl KvPager {
     /// A pager over `capacity_bytes` of KV SRAM carved into
-    /// `block_bytes` blocks (at least one block).
-    pub fn new(block_bytes: u64, capacity_bytes: u64) -> Self {
-        let block_bytes = block_bytes.max(1);
-        let total_blocks = (capacity_bytes / block_bytes).max(1);
+    /// [`KV_BLOCK_BYTES`] blocks (at least one block).
+    pub fn new(capacity_bytes: u64) -> Self {
+        let total_blocks = (capacity_bytes / KV_BLOCK_BYTES).max(1);
         Self {
-            block_bytes,
             total_blocks,
             free_blocks: total_blocks,
-            jobs: HashMap::new(),
-            prefixes: HashMap::new(),
+            prefixes: Vec::new(),
             cached_blocks: 0,
             stats: KvStats::default(),
         }
-    }
-
-    /// Block size in bytes.
-    pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
     }
 
     /// Blocks neither mapped by a job nor held by a prefix.
@@ -309,7 +322,7 @@ impl KvPager {
         debug_assert_eq!(
             self.cached_blocks,
             self.prefixes
-                .values()
+                .iter()
                 .filter(|e| e.refcount == 0)
                 .map(|e| e.blocks)
                 .sum::<u64>(),
@@ -321,12 +334,12 @@ impl KvPager {
     /// Bytes an admission fit-check may assume: the free pool plus
     /// everything the cache would surrender under pressure.
     pub fn available_bytes(&self) -> u64 {
-        (self.free_blocks + self.cached_blocks()) * self.block_bytes
+        (self.free_blocks + self.cached_blocks()) * KV_BLOCK_BYTES
     }
 
     /// Bytes resident (job pages + live and cached prefixes).
     pub fn used_bytes(&self) -> u64 {
-        (self.total_blocks - self.free_blocks) * self.block_bytes
+        (self.total_blocks - self.free_blocks) * KV_BLOCK_BYTES
     }
 
     /// Bytes pinned by resident jobs and live prefixes — `used_bytes`
@@ -334,16 +347,19 @@ impl KvPager {
     /// `kv_in_use` under paging: cached prefixes are *not* in use, they
     /// are opportunistically resident.
     pub fn pinned_bytes(&self) -> u64 {
-        self.used_bytes() - self.cached_blocks() * self.block_bytes
+        self.used_bytes() - self.cached_blocks() * KV_BLOCK_BYTES
     }
 
-    /// Resident job count (page tables held).
-    pub fn mapped_jobs(&self) -> usize {
-        self.jobs.len()
+    /// The entry for prefix `key`, if resident.
+    fn entry(&self, key: PrefixKey) -> Option<&PrefixEntry> {
+        self.prefixes.iter().find(|e| e.key == key)
     }
 
-    fn blocks_of(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.block_bytes)
+    /// Whether residents holding `unique_blocks` unique blocks in all,
+    /// the prefix entries and the free pool add up to the pager's total.
+    fn balances(&self, unique_blocks: u64) -> bool {
+        let prefix: u64 = self.prefixes.iter().map(|e| e.blocks).sum();
+        unique_blocks + prefix + self.free_blocks == self.total_blocks
     }
 
     /// Full-size block count of `need`'s prefix, clamped to capacity.
@@ -351,7 +367,7 @@ impl KvPager {
         if need.prefix.is_none() {
             return 0;
         }
-        self.blocks_of(need.shared_bytes).min(self.total_blocks)
+        blocks_of(need.shared_bytes).min(self.total_blocks)
     }
 
     /// How much of `need`'s class prefix is already materialized on this
@@ -365,7 +381,7 @@ impl KvPager {
         let total = self.prefix_blocks(need);
         let warm = need
             .prefix
-            .and_then(|key| self.prefixes.get(&key))
+            .and_then(|key| self.entry(key))
             .map_or(0, |e| e.blocks.min(total));
         (warm, total)
     }
@@ -376,7 +392,7 @@ impl KvPager {
     /// guarantee).
     fn unique_blocks_at(&self, need: &JobKvNeed, steps_done: u64) -> u64 {
         let prefix = self.prefix_blocks(need);
-        self.blocks_of(need.held_bytes(steps_done))
+        blocks_of(need.held_bytes(steps_done))
             .saturating_sub(prefix)
             .min(self.total_blocks - prefix)
     }
@@ -393,7 +409,7 @@ impl KvPager {
     pub fn admission_bytes(&self, need: &JobKvNeed, steps_done: u64) -> u64 {
         let unique = self.unique_blocks_at(need, steps_done);
         let prefix = self.prefix_blocks(need);
-        let new_prefix = match need.prefix.and_then(|k| self.prefixes.get(&k)) {
+        let new_prefix = match need.prefix.and_then(|k| self.entry(k)) {
             // Live entry: sharers pin it already, pay only a missing tail.
             Some(e) if e.refcount > 0 => prefix.saturating_sub(e.blocks),
             // Cached entry: its resident blocks leave the reclaimable
@@ -402,7 +418,7 @@ impl KvPager {
             Some(_) => prefix,
             None => prefix,
         };
-        (unique + new_prefix) * self.block_bytes
+        (unique + new_prefix) * KV_BLOCK_BYTES
     }
 
     /// Frees `n` blocks for allocation, evicting cached prefixes
@@ -416,23 +432,26 @@ impl KvPager {
     /// charge is exact, so this is an accounting bug, not load.
     fn alloc(&mut self, n: u64, protect: Option<PrefixKey>) {
         while self.free_blocks < n {
+            // `(hits, last_use, key)` is a total order (keys are unique),
+            // so the victim does not depend on the entries' order.
             let victim = self
                 .prefixes
                 .iter()
-                .filter(|(k, e)| e.refcount == 0 && e.blocks > 0 && Some(**k) != protect)
-                .min_by_key(|(k, e)| (e.hits, e.last_use, **k))
-                .map(|(k, _)| *k);
-            let Some(key) = victim else {
+                .enumerate()
+                .filter(|(_, e)| e.refcount == 0 && e.blocks > 0 && Some(e.key) != protect)
+                .min_by_key(|(_, e)| (e.hits, e.last_use, e.key))
+                .map(|(i, _)| i);
+            let Some(i) = victim else {
                 panic!(
                     "KvPager over-committed: need {n} blocks, {} free, nothing cached",
                     self.free_blocks
                 );
             };
-            let entry = self.prefixes.get_mut(&key).expect("victim resident");
+            let entry = &mut self.prefixes[i];
             let trim = entry.blocks.min(n - self.free_blocks);
             entry.blocks -= trim;
             if entry.blocks == 0 {
-                self.prefixes.remove(&key);
+                self.prefixes.swap_remove(i);
             }
             self.cached_blocks -= trim;
             self.free_blocks += trim;
@@ -443,38 +462,39 @@ impl KvPager {
         self.stats.blocks_allocated += n;
     }
 
-    /// Maps `job`'s pages: pins (and tail-refills) or creates the shared
-    /// prefix entry, allocates the unique blocks at curve position
-    /// `steps_done`, and returns the job's unique bytes — the number the
-    /// chip records as the resident footprint and the number preemption
-    /// would swap.
+    /// Maps a job with curve `need` at curve position `steps_done`: pins
+    /// (and tail-refills) or creates its shared prefix entry, allocates
+    /// its unique blocks, and returns its unique bytes — the number the
+    /// chip records as the resident footprint, the number preemption
+    /// would swap, and the other half of the job's page table.
     ///
     /// # Panics
     ///
-    /// Panics if the job is already mapped or the charge was never
-    /// fit-checked (see `Self::alloc`).
-    pub fn map_job(&mut self, id: u64, need: JobKvNeed, steps_done: u64, now: u64) -> u64 {
-        assert!(
-            !self.jobs.contains_key(&id),
-            "job {id} already holds a page table"
-        );
-        let prefix = self.prefix_blocks(&need);
-        let unique = self.unique_blocks_at(&need, steps_done);
+    /// Panics if the charge was never fit-checked (see `Self::alloc`).
+    pub fn map_job(&mut self, need: &JobKvNeed, steps_done: u64, now: u64) -> u64 {
+        let prefix = self.prefix_blocks(need);
+        let unique = self.unique_blocks_at(need, steps_done);
         if let Some(key) = need.prefix {
-            let missing = match self.prefixes.get(&key) {
-                Some(e) => prefix.saturating_sub(e.blocks),
-                None => prefix,
-            };
+            let missing = prefix.saturating_sub(self.entry(key).map_or(0, |e| e.blocks));
             if missing > 0 {
                 self.alloc(missing, Some(key));
             }
-            let entry = self.prefixes.entry(key).or_insert(PrefixEntry {
-                blocks: 0,
-                refcount: 0,
-                hits: 0,
-                // One extra hit below would miscount creation as a hit.
-                last_use: now,
-            });
+            // Looked up after `alloc`: eviction may move entries.
+            let i = match self.prefixes.iter().position(|e| e.key == key) {
+                Some(i) => i,
+                None => {
+                    self.prefixes.push(PrefixEntry {
+                        key,
+                        blocks: 0,
+                        refcount: 0,
+                        hits: 0,
+                        // One extra hit below would miscount creation as a hit.
+                        last_use: now,
+                    });
+                    self.prefixes.len() - 1
+                }
+            };
+            let entry = &mut self.prefixes[i];
             if entry.refcount > 0 || entry.blocks > 0 {
                 entry.hits += 1;
                 self.stats.shared_hits += 1;
@@ -488,44 +508,45 @@ impl KvPager {
             entry.last_use = now;
         }
         self.alloc(unique, need.prefix);
-        self.jobs.insert(
-            id,
-            JobPages {
-                need,
-                unique_blocks: unique,
-            },
-        );
-        unique * self.block_bytes
+        unique * KV_BLOCK_BYTES
     }
 
-    /// Advances `job` to curve position `steps_done`, returning freed
-    /// blocks to the pool (pruning-aware reclaim). Returns the job's
-    /// unique bytes after reclaim. Page count is monotonically
-    /// non-increasing: the curve never rises and growth is never
-    /// allocated here.
-    pub fn reclaim(&mut self, id: u64, steps_done: u64) -> u64 {
-        let pages = *self.jobs.get(&id).expect("reclaim of unmapped job");
-        let target = self.unique_blocks_at(&pages.need, steps_done);
-        let pages = self.jobs.get_mut(&id).expect("reclaim of unmapped job");
-        if target < pages.unique_blocks {
-            let freed = pages.unique_blocks - target;
-            pages.unique_blocks = target;
-            self.free_blocks += freed;
-            self.stats.blocks_freed += freed;
-            self.stats.blocks_reclaimed += freed;
+    /// Advances a job with curve `need` holding `unique_bytes` to curve
+    /// position `steps_done`, returning freed blocks to the pool
+    /// (pruning-aware reclaim). Returns the job's unique bytes after
+    /// reclaim. Page count is monotonically non-increasing: the curve
+    /// never rises and growth is never allocated here.
+    pub fn reclaim(&mut self, need: &JobKvNeed, unique_bytes: u64, steps_done: u64) -> u64 {
+        let held = unique_bytes / KV_BLOCK_BYTES;
+        let target = self.unique_blocks_at(need, steps_done);
+        if target >= held {
+            return unique_bytes;
         }
-        pages.unique_blocks * self.block_bytes
+        let freed = held - target;
+        self.free_blocks += freed;
+        self.stats.blocks_freed += freed;
+        self.stats.blocks_reclaimed += freed;
+        target * KV_BLOCK_BYTES
     }
 
-    /// Releases `job`'s page table: unique blocks return to the pool,
-    /// the prefix refcount drops — at zero the entry *stays resident* as
-    /// a scored cache line for the next sharer.
-    pub fn unmap_job(&mut self, id: u64, now: u64) {
-        let pages = self.jobs.remove(&id).expect("unmap of unmapped job");
-        self.free_blocks += pages.unique_blocks;
-        self.stats.blocks_freed += pages.unique_blocks;
-        if let Some(key) = pages.need.prefix {
-            let entry = self.prefixes.get_mut(&key).expect("prefix entry resident");
+    /// Releases the pages of a job with curve `need` holding
+    /// `unique_bytes`: unique blocks return to the pool, the prefix
+    /// refcount drops — at zero the entry *stays resident* as a scored
+    /// cache line for the next sharer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's prefix entry is not resident or not pinned.
+    pub fn unmap_job(&mut self, need: &JobKvNeed, unique_bytes: u64, now: u64) {
+        let unique = unique_bytes / KV_BLOCK_BYTES;
+        self.free_blocks += unique;
+        self.stats.blocks_freed += unique;
+        if let Some(key) = need.prefix {
+            let entry = self
+                .prefixes
+                .iter_mut()
+                .find(|e| e.key == key)
+                .expect("prefix entry resident");
             assert!(entry.refcount > 0, "prefix refcount underflow");
             entry.refcount -= 1;
             entry.last_use = now;
@@ -535,36 +556,23 @@ impl KvPager {
         }
     }
 
-    /// Unique (non-shared) bytes `job` holds right now — what a swap
-    /// must move.
-    pub fn job_unique_bytes(&self, id: u64) -> u64 {
-        self.jobs
-            .get(&id)
-            .map_or(0, |p| p.unique_blocks * self.block_bytes)
-    }
-
-    /// End-of-run accounting check: no job holds pages, every shared
-    /// prefix's refcount reached zero, and after flushing the cache the
-    /// block ledger closes exactly (`allocated == freed`, all blocks
-    /// free).
+    /// End-of-run accounting check: every shared prefix's refcount
+    /// reached zero, and after flushing the cache the block ledger
+    /// closes exactly (`allocated == freed`, all blocks free — a job that
+    /// never unmapped leaves its unique blocks out of the pool).
     ///
     /// # Panics
     ///
     /// Panics on any leak.
     pub fn assert_drained(&mut self) {
-        assert!(
-            self.jobs.is_empty(),
-            "pager drained with {} job page tables resident",
-            self.jobs.len()
-        );
-        for (key, e) in &self.prefixes {
+        for e in &self.prefixes {
             assert_eq!(
                 e.refcount, 0,
-                "prefix {key:?} drained with refcount {}",
-                e.refcount
+                "prefix {:?} drained with refcount {}",
+                e.key, e.refcount
             );
         }
-        let cached: u64 = self.prefixes.values().map(|e| e.blocks).sum();
+        let cached: u64 = self.prefixes.iter().map(|e| e.blocks).sum();
         self.stats.blocks_freed += cached;
         self.free_blocks += cached;
         self.prefixes.clear();
@@ -604,7 +612,7 @@ impl ChipKv {
     pub fn new(spec: KvSpec, budget: u64) -> Self {
         match spec.block_bytes() {
             None => ChipKv::Contiguous { budget, in_use: 0 },
-            Some(block) => ChipKv::Paged(KvPager::new(block, budget)),
+            Some(_) => ChipKv::Paged(KvPager::new(budget)),
         }
     }
 
@@ -670,35 +678,52 @@ impl ChipKv {
                     skip = (total * warm_tokens / w.seq_len.max(1) as u64)
                         .min(total.saturating_sub(1));
                 }
-                (p.map_job(job.id, need, resume_steps(job), now), skip)
+                (p.map_job(&need, resume_steps(job), now), skip)
             }
         }
     }
 
-    /// Advances job `id` to `steps_done` decode steps and returns its
-    /// footprint: paged, the pruning curve frees whole blocks mid-stream;
-    /// a contiguous reservation never shrinks.
-    pub fn reclaim(&mut self, id: u64, steps_done: u64, footprint: u64) -> u64 {
+    /// Advances `job`, resident on chip `chip` with `footprint`, to
+    /// `steps_done` decode steps and returns its footprint: paged, the
+    /// pruning curve frees whole blocks mid-stream; a contiguous
+    /// reservation never shrinks.
+    pub fn reclaim(&mut self, chip: usize, job: &Job, steps_done: u64, footprint: u64) -> u64 {
         match self {
             ChipKv::Contiguous { .. } => footprint,
-            ChipKv::Paged(p) => p.reclaim(id, steps_done),
+            ChipKv::Paged(p) => p.reclaim(&JobKvNeed::mapped(job, chip), footprint, steps_done),
         }
     }
 
-    /// Releases job `id` (footprint `footprint`) at `now` and returns
-    /// the bytes a swap-out or handoff moves: the whole reservation, or
-    /// paged, only the unique pages (shared prefix blocks stay).
-    pub fn unmap(&mut self, id: u64, footprint: u64, now: u64) -> u64 {
+    /// Releases `job`, resident on chip `chip` with `footprint`, at
+    /// `now`. The footprint is also what a swap-out or handoff moves: the
+    /// whole reservation, or paged, only the unique pages (shared prefix
+    /// blocks stay).
+    pub fn unmap(&mut self, chip: usize, job: &Job, footprint: u64, now: u64) {
         match self {
-            ChipKv::Contiguous { in_use, .. } => {
-                *in_use -= footprint;
-                footprint
-            }
-            ChipKv::Paged(p) => {
-                let unique = p.job_unique_bytes(id);
-                p.unmap_job(id, now);
-                unique
-            }
+            ChipKv::Contiguous { in_use, .. } => *in_use -= footprint,
+            ChipKv::Paged(p) => p.unmap_job(&JobKvNeed::mapped(job, chip), footprint, now),
+        }
+    }
+
+    /// Checks that the residents' footprints, summing to
+    /// `resident_bytes`, account for the store exactly: contiguous, they
+    /// are the bytes in use; paged, their unique blocks plus the prefix
+    /// entries' blocks plus the free pool are the pager's total. The
+    /// chip runs it once a round in debug builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the residents and the store disagree.
+    pub fn assert_balanced(&self, resident_bytes: u64) {
+        match self {
+            ChipKv::Contiguous { in_use, .. } => assert_eq!(
+                *in_use, resident_bytes,
+                "contiguous KV out of step with its residents"
+            ),
+            ChipKv::Paged(p) => assert!(
+                p.balances(resident_bytes / KV_BLOCK_BYTES),
+                "paged KV out of step with its residents ({resident_bytes} resident bytes)"
+            ),
         }
     }
 
@@ -731,7 +756,7 @@ impl ChipKv {
             ChipKv::Paged(p) => {
                 let need = JobKvNeed::memoized(cost, chip, job);
                 let (warm, total) = p.warm_prefix_blocks(&need);
-                (total - warm) * p.block_bytes()
+                (total - warm) * KV_BLOCK_BYTES
             }
         }
     }
@@ -761,6 +786,11 @@ impl ChipKv {
     }
 }
 
+/// Whole blocks covering `bytes`.
+fn blocks_of(bytes: u64) -> u64 {
+    bytes.div_ceil(KV_BLOCK_BYTES)
+}
+
 /// Decode steps a resumed job already ran (0 for a fresh arrival): its
 /// position on the retirement curve.
 fn resume_steps(job: &Job) -> u64 {
@@ -771,7 +801,7 @@ fn resume_steps(job: &Job) -> u64 {
 mod tests {
     use super::*;
 
-    const BLOCK: u64 = 1024;
+    const BLOCK: u64 = KV_BLOCK_BYTES;
 
     fn need(raw: u64, fin: u64, shared: u64, gen: u64) -> JobKvNeed {
         JobKvNeed {
@@ -803,54 +833,58 @@ mod tests {
 
     #[test]
     fn prefix_is_charged_once_and_cached_after_the_last_sharer_leaves() {
-        let mut p = KvPager::new(BLOCK, 64 * BLOCK);
+        let mut p = KvPager::new(64 * BLOCK);
         let n = need(20 * BLOCK, 20 * BLOCK, 8 * BLOCK, 4);
         // First sharer pays prefix + unique; the second pays unique only.
         assert_eq!(p.admission_bytes(&n, 0), 20 * BLOCK);
-        p.map_job(1, n, 0, 10);
+        let first = p.map_job(&n, 0, 10);
         assert_eq!(p.admission_bytes(&n, 0), 12 * BLOCK);
-        let unique = p.map_job(2, n, 0, 11);
+        let unique = p.map_job(&n, 0, 11);
         assert_eq!(unique, 12 * BLOCK);
+        assert_eq!(first, unique);
         assert_eq!(p.stats.shared_hits, 1);
         assert_eq!(p.used_bytes(), (8 + 12 + 12) * BLOCK);
+        assert!(p.balances(24));
         // Both leave: the prefix persists as cache, still charged when a
         // newcomer would pin it, still counted available for eviction.
-        p.unmap_job(1, 20);
-        p.unmap_job(2, 21);
+        p.unmap_job(&n, first, 20);
+        p.unmap_job(&n, unique, 21);
         assert_eq!(p.cached_blocks(), 8);
-        assert_eq!(p.mapped_jobs(), 0);
+        assert_eq!(p.pinned_bytes(), 0);
         assert_eq!(p.available_bytes(), 64 * BLOCK);
         assert_eq!(p.admission_bytes(&n, 0), 20 * BLOCK);
         // A third sharer hits the cache without allocating prefix blocks.
         let before = p.stats.blocks_allocated;
-        p.map_job(3, n, 0, 30);
+        let third = p.map_job(&n, 0, 30);
         assert_eq!(p.stats.blocks_allocated - before, 12);
         assert_eq!(p.stats.shared_hits, 2);
-        p.unmap_job(3, 31);
+        p.unmap_job(&n, third, 31);
     }
 
     #[test]
     fn pruning_reclaim_returns_blocks_mid_stream_monotonically() {
-        let mut p = KvPager::new(BLOCK, 256 * BLOCK);
+        let mut p = KvPager::new(256 * BLOCK);
         let n = need(60 * BLOCK, 24 * BLOCK, 10 * BLOCK, 32);
-        let mut unique = p.map_job(7, n, 0, 0);
+        let mut unique = p.map_job(&n, 0, 0);
         assert_eq!(unique, 50 * BLOCK);
         let mut reclaimed_total = 0;
         for t in 1..=40 {
-            let next = p.reclaim(7, t);
+            let next = p.reclaim(&n, unique, t);
             assert!(next <= unique, "page count grew at step {t}");
             reclaimed_total += (unique - next) / BLOCK;
             unique = next;
+            assert!(p.balances(unique / BLOCK), "step {t}");
         }
         assert_eq!(unique, 14 * BLOCK);
         assert_eq!(p.stats.blocks_reclaimed, reclaimed_total);
         assert_eq!(p.stats.blocks_reclaimed, 36);
-        p.unmap_job(7, 50);
+        p.unmap_job(&n, unique, 50);
+        p.assert_drained();
     }
 
     #[test]
     fn cache_eviction_trims_lowest_scored_tails_and_refills_on_hit() {
-        let mut p = KvPager::new(BLOCK, 32 * BLOCK);
+        let mut p = KvPager::new(32 * BLOCK);
         let cold = JobKvNeed {
             prefix: Some((0, 100)),
             ..need(10 * BLOCK, 10 * BLOCK, 6 * BLOCK, 2)
@@ -859,37 +893,38 @@ mod tests {
             prefix: Some((1, 100)),
             ..need(10 * BLOCK, 10 * BLOCK, 6 * BLOCK, 2)
         };
-        p.map_job(1, cold, 0, 0);
-        p.unmap_job(1, 1);
-        p.map_job(2, hot, 0, 2);
-        p.map_job(3, hot, 0, 3); // hot entry scores a hit
-        p.unmap_job(2, 4);
-        p.unmap_job(3, 5);
+        let u1 = p.map_job(&cold, 0, 0);
+        p.unmap_job(&cold, u1, 1);
+        let u2 = p.map_job(&hot, 0, 2);
+        let u3 = p.map_job(&hot, 0, 3); // hot entry scores a hit
+        p.unmap_job(&hot, u2, 4);
+        p.unmap_job(&hot, u3, 5);
         // 12 cached + 20 free. A 24-block demand must trim 4 cached
         // blocks — from the cold (0-hit) entry's tail, not the hot one.
         let big = need(24 * BLOCK, 24 * BLOCK, 0, 2);
         assert_eq!(p.admission_bytes(&big, 0), 24 * BLOCK);
-        p.map_job(4, big, 0, 10);
+        let u4 = p.map_job(&big, 0, 10);
         assert_eq!(p.stats.cache_evicted_blocks, 4);
         assert_eq!(p.cached_blocks(), 8); // cold trimmed 6 -> 2, hot intact
-        p.unmap_job(4, 11);
+        assert!(p.balances(u4 / BLOCK));
+        p.unmap_job(&big, u4, 11);
         // A returning cold-class sharer pays only the trimmed tail.
         assert_eq!(p.admission_bytes(&cold, 0), (4 + 4 + 2) * BLOCK);
-        p.map_job(5, cold, 0, 20);
-        assert_eq!(p.job_unique_bytes(5), 4 * BLOCK);
-        p.unmap_job(5, 21);
+        let u5 = p.map_job(&cold, 0, 20);
+        assert_eq!(u5, 4 * BLOCK);
+        p.unmap_job(&cold, u5, 21);
     }
 
     #[test]
     fn drain_closes_the_block_ledger() {
-        let mut p = KvPager::new(BLOCK, 128 * BLOCK);
+        let mut p = KvPager::new(128 * BLOCK);
         let a = need(30 * BLOCK, 12 * BLOCK, 8 * BLOCK, 16);
         let b = need(20 * BLOCK, 20 * BLOCK, 8 * BLOCK, 0);
-        p.map_job(1, a, 0, 0);
-        p.map_job(2, b, 0, 1);
-        p.reclaim(1, 9);
-        p.unmap_job(1, 5);
-        p.unmap_job(2, 6);
+        let ua = p.map_job(&a, 0, 0);
+        let ub = p.map_job(&b, 0, 1);
+        let ua = p.reclaim(&a, ua, 9);
+        p.unmap_job(&a, ua, 5);
+        p.unmap_job(&b, ub, 6);
         p.assert_drained();
         assert_eq!(p.stats.blocks_allocated, p.stats.blocks_freed);
         assert_eq!(p.free_blocks(), 128);
@@ -952,8 +987,8 @@ mod tests {
         assert_eq!(unique2, unique);
         assert!(skip2 > 0, "a warm prefix skips the head of prefill");
         assert_eq!(kv.cold_prefix_bytes(&mut cost, 0, &second), 0);
-        assert_eq!(kv.unmap(1, unique, 2), unique);
-        assert_eq!(kv.unmap(2, unique2, 3), unique2);
+        kv.unmap(0, &first, unique, 2);
+        kv.unmap(0, &second, unique2, 3);
         assert_eq!(kv.stats().shared_hits, 1);
         kv.assert_drained();
     }
@@ -1014,17 +1049,19 @@ mod tests {
         let (fa, skip) = kv.map(&mut cost, 0, &a, 0);
         assert_eq!(fa, cost.footprint_on(0, &a.workload));
         assert_eq!(skip, 0, "contiguous KV keeps no prefix to skip");
-        let (fb, _) = kv.map(&mut cost, 0, &gpt2_job(2, 0), 1);
+        let b = gpt2_job(2, 0);
+        let (fb, _) = kv.map(&mut cost, 0, &b, 1);
         assert_eq!(kv.in_use(), fa + fb);
         assert_eq!(kv.free_bytes(), budget - fa - fb);
         // Decode never shrinks a contiguous reservation.
-        assert_eq!(kv.reclaim(1, 40, fa), fa);
+        assert_eq!(kv.reclaim(0, &a, 40, fa), fa);
         assert_eq!(kv.in_use(), fa + fb);
-        // Unmapping returns the whole reservation: what a swap moves.
-        assert_eq!(kv.unmap(1, fa, 2), fa);
+        kv.assert_balanced(fa + fb);
+        // Unmapping releases the whole reservation: what a swap moves.
+        kv.unmap(0, &a, fa, 2);
         assert_eq!(kv.free_bytes(), budget - fb);
         assert_eq!(kv.cold_prefix_bytes(&mut cost, 0, &a), 0);
-        assert_eq!(kv.unmap(2, fb, 3), fb);
+        kv.unmap(0, &b, fb, 3);
         assert_eq!(kv.in_use(), 0);
         assert_eq!(kv.stats(), KvStats::default());
         kv.assert_drained();
@@ -1042,10 +1079,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "over-committed")]
     fn over_commit_panics_rather_than_corrupting_the_ledger() {
-        let mut p = KvPager::new(BLOCK, 8 * BLOCK);
-        p.map_job(1, need(16 * BLOCK, 16 * BLOCK, 0, 2), 0, 0);
+        let mut p = KvPager::new(8 * BLOCK);
+        p.map_job(&need(16 * BLOCK, 16 * BLOCK, 0, 2), 0, 0);
         // The clamp caps a single job at capacity; a second job of any
         // size must trip the allocator's over-commit assert.
-        p.map_job(2, need(BLOCK, BLOCK, 0, 2), 0, 1);
+        p.map_job(&need(BLOCK, BLOCK, 0, 2), 0, 1);
     }
 }

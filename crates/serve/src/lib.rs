@@ -44,11 +44,11 @@
 //!   serializes within itself).
 //! * [`kv`] — each chip's KV store, [`ChipKv`]: one contiguous
 //!   reservation per job, or (opt-in via `SchedKnobs::kv`) the **paged
-//!   KV allocator** [`KvPager`] — fixed-size blocks per chip, per-job
-//!   page tables, refcounted copy-on-write sharing of per-class
-//!   system-prompt prefixes with a scored persistent prefix cache, and
-//!   pruning-aware mid-stream page reclaim as the cascade retires
-//!   tokens. `ChipKv` is the only code that knows which layout a chip
+//!   KV allocator** [`KvPager`] — fixed-size blocks per chip, page
+//!   tables held by the residents themselves, refcounted copy-on-write
+//!   sharing of per-class system-prompt prefixes with a scored
+//!   persistent prefix cache, and pruning-aware mid-stream page reclaim
+//!   as the cascade retires tokens. `ChipKv` is the only code that knows which layout a chip
 //!   runs: fit checks price through [`ChipKv::fit_bytes`], and
 //!   preemption swaps unique pages only.
 //! * [`disagg`] — the **disaggregation layer** ([`PoolSpec`], opt-in

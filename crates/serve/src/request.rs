@@ -49,8 +49,10 @@ pub struct Job {
     pub workload: Workload,
     /// The job's paged-KV demand curve
     /// ([`JobKvNeed`](crate::kv::JobKvNeed)) as last priced, and for
-    /// which chip, so fit checks do not re-price it. Start it empty
-    /// (`Default::default()`); it takes no part in `==`.
+    /// which chip, so fit checks do not re-price it. While the job is
+    /// resident under paging it is the curve the job was mapped with:
+    /// half of its page table. Start it empty (`Default::default()`); it
+    /// takes no part in `==`.
     pub kv_need: KvNeedMemo,
 }
 

@@ -543,10 +543,11 @@ pub struct Admission {
 ///
 /// **Call pattern.** Each admission pass for a chip
 /// ([`Scheduler::take`]) calls [`AdmissionPolicy::admit`] first on the
-/// chip's private queue — always, even when it is empty, so every chip
-/// the engine kicks introduces itself to a stateful policy — and then,
-/// against the capacity left over, on the fleet-wide shared queue, but
-/// only when that queue holds work. A policy must therefore decide
+/// chip's private queue and then, against the capacity left over, on the
+/// fleet-wide shared queue. Each call is made only when its queue holds
+/// work, with one exception: a chip's first pass always calls the policy
+/// on its private queue, empty or not, so every chip the engine kicks
+/// introduces itself to a stateful policy. A policy must therefore decide
 /// nothing for an empty queue (every bundled policy admits and rejects
 /// nothing there), and must not count on a call per queue per pass. A
 /// draining chip's pass ([`Scheduler::take_local`]) is the private-queue
@@ -821,10 +822,11 @@ impl AdmissionPolicy for KvAwareAdmission {
 #[derive(Debug, Clone, Default)]
 pub struct SloAwareAdmission {
     /// Every chip index whose admission this policy has handled. An
-    /// arrival kicks every chip, and each admission pass opens with a
-    /// call on the chip's private queue (empty or not), so after the
-    /// first event this covers the fleet; until a chip has introduced
-    /// itself its speed is unknown and cannot condemn a job.
+    /// arrival kicks every chip, and a chip's first admission pass always
+    /// calls the policy on its private queue (empty or not; later passes
+    /// call it only when the queue holds work), so after the first event
+    /// this covers the fleet; until a chip has introduced itself its
+    /// speed is unknown and cannot condemn a job.
     chips_seen: Vec<usize>,
 }
 
@@ -909,6 +911,9 @@ pub struct Scheduler<A: AdmissionPolicy, R: RoutingPolicy = SharedQueueRouting> 
     /// refilled per [`Scheduler::steal_into`] call instead of allocated
     /// — the scan runs on every idle kick at saturation.
     steal_scratch: Vec<usize>,
+    /// Per chip, whether it has made its first admission pass — the one
+    /// pass that calls the policy on an empty private queue.
+    introduced: Vec<bool>,
 }
 
 impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
@@ -928,6 +933,7 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
             stolen_cycles: vec![0; chips],
             roles: vec![PoolRole::Flex; chips],
             steal_scratch: Vec::with_capacity(chips),
+            introduced: vec![false; chips],
         }
     }
 
@@ -1153,7 +1159,8 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     /// queue against whatever capacity remains — skipped when the shared
     /// queue is empty (always, under routing that places every arrival).
     /// Admitted and rejected jobs are removed from their queue; an empty
-    /// decision means the chip stays as it is.
+    /// decision means the chip stays as it is. See the
+    /// [`AdmissionPolicy`] call pattern for when the policy is called.
     pub fn take<C: FleetCost>(
         &mut self,
         cost: &mut C,
@@ -1183,7 +1190,8 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     /// [`Scheduler::drain_chip`] strips its unpinned jobs, the private
     /// queue holds only work whose KV prefix lives in this chip's HBM,
     /// which the chip must finish before departing; the shared queue
-    /// belongs to the survivors.
+    /// belongs to the survivors. An empty private queue is offered to
+    /// the policy on the chip's first pass only.
     ///
     /// [`Availability::Draining`]: crate::elastic::Availability::Draining
     pub fn take_local<C: FleetCost>(
@@ -1193,6 +1201,10 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         cap: ChipCapacity,
         now: u64,
     ) -> Admission {
+        if self.routed[chip].is_empty() && self.introduced[chip] {
+            return Admission::default();
+        }
+        self.introduced[chip] = true;
         let out = self
             .policy
             .admit(&mut self.routed[chip], cost, chip, cap, now);
