@@ -4,18 +4,14 @@
 //! model (what data comes out) and a *timing* model (how many cycles it
 //! takes at what parallelism):
 //!
-//! * [`fifo`] — bounded FIFOs with occupancy statistics (the 64-deep
-//!   address/data FIFOs around the crossbars).
 //! * [`zero_eliminator`] — the prefix-sum + log-stage shifter of Fig. 10.
 //! * [`topk`] — the high-parallelism quick-select top-k engine of Fig. 9 /
 //!   Algorithm 3, plus a Batcher sorting-network model it is compared
 //!   against in §IV-B.
-//! * [`crossbar`] — the 32×16 address / 16×32 data crossbars.
 //! * [`mult_array`] — the 512-multiplier array with its reconfigurable
 //!   adder tree (Fig. 11), shared by Q·Kᵀ and prob·V.
 //! * [`softmax_unit`] — the dequantize → exp → normalize → requantize
 //!   pipeline (Fig. 12) with Taylor-expansion exp.
-//! * [`bitwidth`] — the DRAM-to-on-chip bitwidth converter.
 //! * [`sram`] — K/V SRAMs with access counters for energy accounting.
 //! * [`pipeline`] — composition of stage timings into end-to-end cycles for
 //!   a fully pipelined datapath (elastic-buffer approximation).
@@ -24,10 +20,7 @@
 //! * [`sort_network`] — a functional Batcher odd–even merge network (the
 //!   full-sorting baseline of §IV-B).
 
-pub mod bitwidth;
-pub mod crossbar;
 pub mod datapath;
-pub mod fifo;
 pub mod mult_array;
 pub mod pipeline;
 pub mod softmax_unit;
@@ -36,10 +29,7 @@ pub mod sram;
 pub mod topk;
 pub mod zero_eliminator;
 
-pub use bitwidth::BitwidthConverter;
-pub use crossbar::Crossbar;
 pub use datapath::{BufferedStage, EventDrivenPipeline, EventStats};
-pub use fifo::Fifo;
 pub use mult_array::{AdderTreeConfig, MultArray};
 pub use pipeline::{pipeline_cycles, StageTiming};
 pub use softmax_unit::SoftmaxUnit;

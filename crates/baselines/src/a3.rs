@@ -15,7 +15,7 @@
 //!    are local to one head: FFN work and other layers see no benefit.
 
 use crate::device::BaselineReport;
-use spatten_workloads::{TaskKind, Workload};
+use spatten_workloads::Workload;
 
 /// A3 at Table III resources: 128 multipliers (parallelism d = 64),
 /// 64 GB/s, 1 GHz, 40 nm.
@@ -104,11 +104,6 @@ impl A3Model {
     /// Whether a workload is supported (Table III: "Accelerate BERT only").
     pub fn supports(&self, w: &Workload) -> bool {
         w.gen_steps == 0
-    }
-
-    /// Task kinds A3 accelerates.
-    pub fn supported_kinds() -> &'static [TaskKind] {
-        &[TaskKind::Discriminative]
     }
 }
 

@@ -23,8 +23,6 @@
 //! * [`interpret`] — token-level pruning traces for the Fig. 22/23
 //!   visualizations.
 //! * [`ablation`] — the Fig. 20 technique-by-technique ladder as an API.
-//! * [`memaug`] — the paper's future-work extension: token pruning
-//!   generalized to memory-augmented networks (§VI-C).
 //! * [`roofline`] — operational-intensity analysis (Fig. 18).
 
 pub mod ablation;
@@ -32,7 +30,6 @@ pub mod accelerator;
 pub mod e2e;
 pub mod importance;
 pub mod interpret;
-pub mod memaug;
 pub mod perf;
 pub mod progressive;
 pub mod pruner;
@@ -43,7 +40,6 @@ pub use accelerator::{Accelerator, SpAttenConfig};
 pub use e2e::{E2eReport, SpAttenE2e};
 pub use importance::ImportanceAccumulator;
 pub use interpret::{PruningTrace, TokenFate};
-pub use memaug::MemoryBank;
 pub use perf::{
     decode_step_cost, decode_step_cost_heads, decode_step_cost_layers, prefill_cost,
     prefill_cost_heads, prefill_cost_layers, shard_heads, surviving_tokens, ModuleCycles,

@@ -50,11 +50,6 @@ impl CascadePruner {
         &self.importance
     }
 
-    /// Cycles the top-k engine spent on pruning decisions.
-    pub fn topk_cycles(&self) -> u64 {
-        self.engine.total_cycles()
-    }
-
     fn prune_tokens(&mut self, active: &mut ActiveSet, layer: usize) {
         let keep_frac = self.spec.token_keep_at(layer, self.layers);
         if keep_frac >= 1.0 {

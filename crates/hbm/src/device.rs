@@ -104,7 +104,6 @@ pub struct DrainStats {
 #[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
-    map: AddressMap,
     channels: Vec<Channel>,
     /// Apart from the walk, which borrows it shared, so the row loop
     /// keeps the divisors in registers.
@@ -124,11 +123,11 @@ impl Hbm {
     /// Panics if the configuration has more than 64 channels, or if
     /// [`AddressMap::new`] rejects it.
     pub fn new(config: HbmConfig) -> Self {
-        let map = AddressMap::new(config.channels, config.interleave_bytes, config.row_bytes);
+        // Only the config check: `Geometry` and `Walk` place the rows.
+        AddressMap::new(config.channels, config.interleave_bytes, config.row_bytes);
         assert!(config.channels <= 64, "at most 64 HBM channels");
         Self {
             config,
-            map,
             channels: vec![Channel::new(); config.channels],
             geometry: Geometry::new(&config),
             walk: Walk::new(&config),
@@ -141,11 +140,6 @@ impl Hbm {
     /// The configuration.
     pub fn config(&self) -> HbmConfig {
         self.config
-    }
-
-    /// The address map.
-    pub fn address_map(&self) -> AddressMap {
-        self.map
     }
 
     /// Places a plane's rows in the current window.

@@ -120,18 +120,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Builds from explicit weights (used by the trainer).
-    pub fn from_weights(wq: Matrix, wk: Matrix, wv: Matrix, wo: Matrix, heads: usize) -> Self {
-        assert!(wq.cols().is_multiple_of(heads));
-        Self {
-            wq,
-            wk,
-            wv,
-            wo,
-            heads,
-        }
-    }
-
     /// Number of heads.
     pub fn heads(&self) -> usize {
         self.heads

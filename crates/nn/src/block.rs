@@ -49,11 +49,6 @@ impl TransformerBlock {
         &mut self.attn
     }
 
-    /// FFN weights (for the trainer): `(w1, b1, w2, b2)`.
-    pub fn ffn_weights_mut(&mut self) -> (&mut Matrix, &mut Vec<f32>, &mut Matrix, &mut Vec<f32>) {
-        (&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2)
-    }
-
     /// Read-only FFN weights: `(w1, b1, w2, b2)`.
     pub fn ffn_weights_ref(&self) -> (&Matrix, &Vec<f32>, &Matrix, &Vec<f32>) {
         (&self.w1, &self.b1, &self.w2, &self.b2)

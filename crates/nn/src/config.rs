@@ -121,12 +121,6 @@ impl ModelConfig {
         self
     }
 
-    /// Returns a copy with a different layer count.
-    pub const fn with_layers(mut self, layers: usize) -> Self {
-        self.layers = layers;
-        self
-    }
-
     /// Per-head feature dimension `D = hidden / heads`.
     ///
     /// # Panics

@@ -18,15 +18,12 @@
 //!   classification/LM heads, supporting *pruned* execution: an
 //!   `AttentionObserver` hooks may remove tokens
 //!   and heads after every layer, exactly like SpAtten's cascade pruning.
-//! * [`beam`] — beam-search decoding with *shared* cascade pruning across
-//!   beams (§V-B: a pruned token's K/V is never used by any beam).
 //! * [`train`] — manual backprop + Adam for a tiny transformer, used to
 //!   produce genuine accuracy-vs-pruning-ratio curves (paper Fig. 21).
 //!
 //! The crate is deterministic: all weight initialization is seeded.
 
 pub mod attention;
-pub mod beam;
 pub mod block;
 pub mod config;
 pub mod matrix;
@@ -36,7 +33,6 @@ pub mod ops;
 pub mod train;
 
 pub use attention::{AttentionRecord, KvCache, MultiHeadAttention};
-pub use beam::{beam_search, Beam, BeamSearchOutput};
 pub use block::TransformerBlock;
 pub use config::{ModelConfig, ModelKind, Stage};
 pub use matrix::Matrix;

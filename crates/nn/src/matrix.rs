@@ -196,18 +196,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise in-place `self += alpha * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled_assign(&mut self, other: &Matrix, alpha: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// In-place scalar multiply.
     pub fn scale_assign(&mut self, alpha: f32) {
         for a in &mut self.data {
@@ -277,11 +265,6 @@ impl Matrix {
         let mut data = self.data.clone();
         data.extend_from_slice(&other.data);
         Matrix::from_vec(self.rows + other.rows, self.cols, data)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Sum of absolute values — the head-importance statistic of

@@ -124,11 +124,6 @@ impl Model {
         &self.embed
     }
 
-    /// Mutable embedding table (for the trainer).
-    pub fn embedding_mut(&mut self) -> &mut Matrix {
-        &mut self.embed
-    }
-
     /// Positional-embedding table.
     pub fn positional(&self) -> &Matrix {
         &self.pos

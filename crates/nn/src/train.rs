@@ -13,7 +13,6 @@
 //! intermediates and derives gradients for every parameter (embeddings,
 //! positional table, attention projections, FFN, layer norms, classifier).
 
-use crate::config::ModelConfig;
 use crate::matrix::Matrix;
 use crate::model::Model;
 use crate::observer::AttentionObserver;
@@ -52,19 +51,6 @@ pub struct SyntheticTask {
 }
 
 impl SyntheticTask {
-    /// The default task used by the Fig. 21 experiments: 2 classes, length
-    /// 24, 3 keywords among 21 fillers.
-    pub fn default_for(config: &ModelConfig) -> Self {
-        Self {
-            vocab: config.vocab,
-            n_classes: 2,
-            keywords_per_class: 4,
-            seq_len: 24,
-            keywords_per_example: 3,
-            distractors_per_example: 0,
-        }
-    }
-
     /// First filler token id.
     pub fn filler_start(&self) -> usize {
         self.n_classes * self.keywords_per_class

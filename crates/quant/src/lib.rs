@@ -18,28 +18,19 @@
 //!   bitwidth schemes the paper evaluates (4+4, 6+4, 8+4, 10+4, 12+4).
 //! * [`error`] — empirical quantization-error metrics on softmax outputs
 //!   (the Fig. 7 experiment).
-//! * [`theory`] — the closed-form softmax error analysis of Eq. (1)–(2):
-//!   a score perturbation Δs changes the output distribution by at most
-//!   `2·p·(1−p)·Δs < Δs/2`.
-//! * [`kmeans`] — the K-means codebook quantizer the paper explicitly
-//!   rejects on speed grounds, implemented for comparison.
 
 pub mod error;
 pub mod fixed;
-pub mod kmeans;
 pub mod linear;
 pub mod split;
-pub mod theory;
 
 pub use error::{
     max_abs_error, mean_abs_error, qk_softmax_quant_error, softmax_quant_error,
     softmax_quant_error_with, SoftmaxErrorSample,
 };
 pub use fixed::Fixed;
-pub use kmeans::KMeansQuantizer;
 pub use linear::{LinearQuantizer, QuantizedTensor};
-pub use split::{BitwidthScheme, FetchPlan, SplitQuantized};
-pub use theory::{softmax_error_bound, softmax_jacobian_entry};
+pub use split::{BitwidthScheme, SplitQuantized};
 
 /// Numerically stable softmax over a slice, used as the f32 reference
 /// implementation throughout the workspace.

@@ -126,11 +126,6 @@ impl QuantizedTensor {
             .map(|&l| self.quantizer.value(l))
             .collect()
     }
-
-    /// DRAM footprint in bits at this tensor's bitwidth.
-    pub fn storage_bits(&self) -> u64 {
-        self.levels.len() as u64 * u64::from(self.quantizer.bits())
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +163,6 @@ mod tests {
         for (a, b) in data.iter().zip(&back) {
             assert!((a - b).abs() <= q.max_rounding_error() + 1e-6);
         }
-    }
-
-    #[test]
-    fn storage_bits_counts_bitwidth() {
-        let q = LinearQuantizer::fit(&[1.0; 16], 12);
-        let t = q.quantize(&[1.0; 16]);
-        assert_eq!(t.storage_bits(), 16 * 12);
     }
 
     #[test]

@@ -65,30 +65,6 @@ impl fmt::Display for BitwidthScheme {
     }
 }
 
-/// How much DRAM traffic a fetch of `n` elements costs under a scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchPlan {
-    /// Bits moved when fetching the MSB plane of the tensor.
-    pub msb_plane_bits: u64,
-    /// Bits moved when (additionally) fetching the LSB plane.
-    pub lsb_plane_bits: u64,
-}
-
-impl FetchPlan {
-    /// Fetch cost for `elements` values under `scheme`.
-    pub fn for_elements(elements: u64, scheme: BitwidthScheme) -> Self {
-        Self {
-            msb_plane_bits: elements * u64::from(scheme.msb_bits()),
-            lsb_plane_bits: elements * u64::from(scheme.lsb_bits()),
-        }
-    }
-
-    /// Total bits if both planes are fetched.
-    pub fn full_bits(&self) -> u64 {
-        self.msb_plane_bits + self.lsb_plane_bits
-    }
-}
-
 /// A tensor quantized at full precision and stored as separable MSB/LSB
 /// planes.
 ///
@@ -171,11 +147,6 @@ impl SplitQuantized {
             .map(|&l| self.quantizer.value(l))
             .collect()
     }
-
-    /// The DRAM fetch plan for this tensor.
-    pub fn fetch_plan(&self) -> FetchPlan {
-        FetchPlan::for_elements(self.levels.len() as u64, self.scheme)
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +158,6 @@ mod tests {
         assert_eq!(BitwidthScheme::Msb4Lsb4.total_bits(), 8);
         assert_eq!(BitwidthScheme::Msb12Lsb4.total_bits(), 16);
         assert_eq!(BitwidthScheme::Msb8Lsb4.to_string(), "8+4");
-    }
-
-    #[test]
-    fn fetch_plan_counts_planes_separately() {
-        let plan = FetchPlan::for_elements(100, BitwidthScheme::Msb6Lsb4);
-        assert_eq!(plan.msb_plane_bits, 600);
-        assert_eq!(plan.lsb_plane_bits, 400);
-        assert_eq!(plan.full_bits(), 1000);
     }
 
     #[test]

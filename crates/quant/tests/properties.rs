@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use spatten_quant::{
-    max_abs_error, softmax, softmax_error_bound, BitwidthScheme, Fixed, LinearQuantizer,
-    SplitQuantized,
+    max_abs_error, softmax, BitwidthScheme, Fixed, LinearQuantizer, SplitQuantized,
 };
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -66,18 +65,6 @@ proptest! {
             let msb_err: f32 = data.iter().zip(&msb).map(|(a, b)| (a - b).abs()).sum();
             prop_assert!(full_err <= msb_err + 1e-4);
         }
-    }
-
-    #[test]
-    fn error_bound_below_half_delta(
-        scores in prop::collection::vec(-8.0f32..8.0, 2..64),
-        j in 0usize..64,
-        delta in 0.0f32..2.0,
-    ) {
-        let j = j % scores.len();
-        let p = softmax(&scores);
-        // Eq. (2): 2·p·(1−p)·Δs < Δs/2 because p(1−p) ≤ 1/4.
-        prop_assert!(softmax_error_bound(&p, j, delta) <= delta * 0.5 + 1e-6);
     }
 
     #[test]

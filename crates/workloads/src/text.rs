@@ -3,19 +3,11 @@
 //!
 //! The paper visualizes cascade token pruning on real sentences
 //! ("A wonderful movie, I am sure that you will remember it …"). We carry a
-//! few of those sentences plus a vocabulary that marks which words are
-//! *content* words; the examples show that token pruning driven by
-//! accumulated attention keeps content words and drops fillers.
+//! few of those sentences plus a word-level vocabulary; the examples show
+//! that token pruning driven by accumulated attention keeps content words
+//! and drops fillers.
 
 use std::collections::HashMap;
-
-/// Filler words a well-trained model should learn to ignore.
-const FILLERS: &[&str] = &[
-    "a", "an", "the", "i", "am", "is", "are", "was", "were", "that", "it", "you", "will", "to",
-    "of", "and", "in", "into", "about", "sure", "some", "had", "have", "while", "be", "been",
-    "very", "this", "he", "your", "for", "with", "on", "at", "by", "do", "does", "did", "so",
-    "its", ",", ".", "?", "!",
-];
 
 /// A small word-level vocabulary built from example sentences.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -63,11 +55,6 @@ impl Vocabulary {
             .split_whitespace()
             .map(|w| self.intern(w))
             .collect()
-    }
-
-    /// Whether a word is a filler (function word / punctuation).
-    pub fn is_filler(word: &str) -> bool {
-        FILLERS.contains(&word.to_lowercase().as_str())
     }
 }
 
@@ -145,14 +132,6 @@ mod tests {
         assert_eq!(ids.len(), 5);
         let words: Vec<&str> = ids.iter().map(|&i| v.word(i).unwrap()).collect();
         assert_eq!(words, vec!["the", "film", "is", "almost", "perfect"]);
-    }
-
-    #[test]
-    fn filler_detection() {
-        assert!(Vocabulary::is_filler("the"));
-        assert!(Vocabulary::is_filler("The"));
-        assert!(!Vocabulary::is_filler("perfect"));
-        assert!(!Vocabulary::is_filler("film"));
     }
 
     #[test]

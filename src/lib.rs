@@ -14,8 +14,8 @@
 //!   transformer for accuracy experiments).
 //! * [`hbm`] — an HBM2 DRAM model (16 channels, row-buffer policy, energy).
 //! * [`arch`] — cycle-level hardware modules: top-k engine, zero eliminator,
-//!   crossbars, multiplier arrays with reconfigurable adder trees, softmax
-//!   pipeline, SRAMs and FIFOs.
+//!   multiplier arrays with reconfigurable adder trees, softmax pipeline,
+//!   SRAMs, and pipeline timing with bounded FIFOs.
 //! * [`energy`] — energy/area/power accounting.
 //! * [`workloads`] — the 30-benchmark registry and synthetic text generators.
 //! * [`core`] — the SpAtten accelerator model itself: cascade token/head
