@@ -120,11 +120,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Per-head dimension.
     pub fn head_dim(&self) -> usize {
         self.wq.cols() / self.heads

@@ -104,11 +104,6 @@ impl Model {
         self.config
     }
 
-    /// Maximum sequence length (positional-embedding table size).
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
     /// The transformer blocks (read-only).
     pub fn blocks(&self) -> &[TransformerBlock] {
         &self.blocks
@@ -117,16 +112,6 @@ impl Model {
     /// Mutable blocks (for the trainer).
     pub fn blocks_mut(&mut self) -> &mut [TransformerBlock] {
         &mut self.blocks
-    }
-
-    /// Embedding table (for the trainer).
-    pub fn embedding(&self) -> &Matrix {
-        &self.embed
-    }
-
-    /// Positional-embedding table.
-    pub fn positional(&self) -> &Matrix {
-        &self.pos
     }
 
     /// Mutable classifier weights, if this is a classifier model.

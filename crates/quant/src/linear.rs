@@ -61,11 +61,6 @@ impl LinearQuantizer {
         self.scale
     }
 
-    /// Total bitwidth of the integer levels.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Quantizes a single value to its integer level (saturating).
     pub fn level(&self, x: f32) -> i64 {
         saturate_level((x / self.scale).round() as i64, self.bits)

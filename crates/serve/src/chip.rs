@@ -81,6 +81,15 @@ struct Active {
     chunk_slice: Option<(StepCost, u64, StepCost)>,
 }
 
+impl Active {
+    /// Whether this resident has just finished its prefill pass and
+    /// still wants decode tokens: prefilled, no decode step yet, a
+    /// generative workload — a disaggregation graduate.
+    fn is_prefill_graduate(&self) -> bool {
+        self.prefilled && self.steps_done == 0 && self.job.workload.gen_steps > 0
+    }
+}
+
 /// One accelerator's event-loop state.
 #[derive(Debug)]
 pub struct Chip {
@@ -342,21 +351,21 @@ impl Chip {
         self.active.push(active);
     }
 
-    /// The preemption policy's view of the resident set, in resident
-    /// order (the indices [`Chip::evict`] expects).
-    pub fn victim_views(&self) -> Vec<VictimView> {
-        self.active
-            .iter()
-            .map(|a| VictimView {
-                priority: a.job.priority,
-                preemptions: a.job.preemptions,
-                kv_footprint: a.footprint,
-                prefilled: a.prefilled,
-                steps_done: a.steps_done,
-                gen_steps: a.job.workload.gen_steps,
-                arrival_cycles: a.job.arrival_cycles,
-            })
-            .collect()
+    /// Fills `out` with the preemption policy's view of the resident
+    /// set, in resident order (the indices [`Chip::evict`] expects),
+    /// replacing whatever it held — the event loop reuses one buffer for
+    /// every chip's preemption checks.
+    pub fn victim_views(&self, out: &mut Vec<VictimView>) {
+        out.clear();
+        out.extend(self.active.iter().map(|a| VictimView {
+            priority: a.job.priority,
+            preemptions: a.job.preemptions,
+            kv_footprint: a.footprint,
+            prefilled: a.prefilled,
+            steps_done: a.steps_done,
+            gen_steps: a.job.workload.gen_steps,
+            arrival_cycles: a.job.arrival_cycles,
+        }));
     }
 
     /// Evicts the residents at `victims` (indices into the resident set),
@@ -409,6 +418,14 @@ impl Chip {
         out
     }
 
+    /// Whether any resident would leave in
+    /// [`Chip::take_prefill_graduates`]. A read-only scan: most round
+    /// ends of a prefill chip hand nothing off, and the event loop skips
+    /// the handoff step for them.
+    pub fn has_prefill_graduates(&self) -> bool {
+        self.active.iter().any(Active::is_prefill_graduate)
+    }
+
     /// Removes every resident that has just finished its prefill pass and
     /// still wants decode tokens (`prefilled`, zero decode steps, a
     /// generative workload) — the disaggregation migration set. Returns
@@ -434,10 +451,7 @@ impl Chip {
     pub fn take_prefill_graduates(&mut self, now: u64) -> Vec<(Job, u64)> {
         assert!(!self.in_flight, "handoff extraction mid-round");
         let migrants: Vec<usize> = (0..self.active.len())
-            .filter(|&i| {
-                let a = &self.active[i];
-                a.prefilled && a.steps_done == 0 && a.job.workload.gen_steps > 0
-            })
+            .filter(|&i| self.active[i].is_prefill_graduate())
             .collect();
         let mut out = Vec::new();
         // Highest index first keeps the remaining indices valid.
@@ -1054,7 +1068,9 @@ mod tests {
         let prefill_rounds = full.div_ceil(10_000);
         let mut chip = chip_with(0, KvSpec::paged(), &cost);
         chip.admit(&mut cost, shared, 0);
-        assert_eq!(chip.victim_views()[0].kv_footprint, 0, "nothing unique");
+        let mut views = Vec::new();
+        chip.victim_views(&mut views);
+        assert_eq!(views[0].kv_footprint, 0, "nothing unique");
         let mut now = 0;
         for _ in 0..prefill_rounds {
             now += round(&mut chip, &mut cost, &mut batch, now);
@@ -1083,6 +1099,34 @@ mod tests {
         run_dry(&mut contig, &mut cost, &mut batch, t, &mut Vec::new());
         assert!(contig.swap_cycles > 0, "unshared KV must swap for real");
         contig.assert_kv_drained();
+    }
+
+    #[test]
+    fn victim_views_refill_a_buffer_another_chip_filled() {
+        let mut cost = CostModel::end_to_end(SpAttenConfig::default(), 8);
+        let mut other = chip(0, &cost);
+        for id in 0..3 {
+            other.admit(&mut cost, job(id, 64, 4), 0);
+        }
+        let mut this = chip(1, &cost);
+        let mut first = job(10, 128, 6);
+        first.priority = 2;
+        first.arrival_cycles = 5;
+        let mut second = job(11, 64, 2);
+        second.arrival_cycles = 3;
+        this.admit(&mut cost, first, 5);
+        this.admit(&mut cost, second, 5);
+        let mut views = Vec::new();
+        other.victim_views(&mut views);
+        assert_eq!(views.len(), 3);
+        // Exactly this chip's residents, in resident order.
+        this.victim_views(&mut views);
+        let seen: Vec<_> = views
+            .iter()
+            .map(|v| (v.priority, v.arrival_cycles, v.gen_steps, v.steps_done))
+            .collect();
+        assert_eq!(seen, [(2, 5, 6, 0), (0, 3, 2, 0)]);
+        assert!(views.iter().all(|v| v.kv_footprint > 0 && !v.prefilled));
     }
 
     #[test]
@@ -1119,8 +1163,10 @@ mod tests {
         let mut chip = chip(0, &cost);
         chip.admit(&mut cost, job(0, 128, 6), 0);
         // Mid-prefill there is nothing to hand off yet.
+        assert!(!chip.has_prefill_graduates());
         assert!(chip.take_prefill_graduates(0).is_empty());
         let now = round(&mut chip, &mut cost, &mut batch, 0);
+        assert!(chip.has_prefill_graduates());
         let grads = chip.take_prefill_graduates(now);
         assert_eq!(grads.len(), 1);
         let (j, dirty) = &grads[0];
@@ -1146,6 +1192,7 @@ mod tests {
             // prefill + one decode round
             t += round(&mut busy, &mut cost, &mut batch, t);
         }
+        assert!(!busy.has_prefill_graduates());
         assert!(busy.take_prefill_graduates(t).is_empty());
         assert_eq!(busy.active_jobs(), 1);
     }

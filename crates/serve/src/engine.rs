@@ -119,7 +119,7 @@ use crate::elastic::{
 };
 use crate::kv::{ChipKv, KvSpec};
 use crate::metrics::{ChipStats, FleetReport};
-use crate::preempt::PreemptionPolicy;
+use crate::preempt::{PreemptionPolicy, VictimView};
 use crate::request::{Completion, Job, Rejection};
 use crate::route::{ChipLoad, RoutingPolicy};
 use crate::scheduler::{
@@ -173,6 +173,14 @@ pub trait TokenSink {
 /// step exactly to the cycle its next arrival maps to.
 pub fn ns_to_cycles(clock_ghz: f64, ns: u64) -> u64 {
     (ns as f64 * clock_ghz).round() as u64
+}
+
+/// Empties `buf` and returns its allocation typed for another borrow.
+/// The in-place `collect` keeps the buffer (the element layout does not
+/// change), and the `map` never runs on an empty vector.
+fn recycle<'b, T>(mut buf: Vec<&T>) -> Vec<&'b T> {
+    buf.clear();
+    buf.into_iter().map(|_| unreachable!()).collect()
 }
 
 fn job_from(req: &TraceRequest, client: Option<usize>, arrival_cycles: u64, clock_ghz: f64) -> Job {
@@ -572,6 +580,13 @@ pub struct FleetEngine<
     sink: Option<Box<dyn TokenSink>>,
     /// Reusable buffer for draining chip token logs to the sink.
     token_scratch: Vec<TokenEvent>,
+    /// Reusable preemption snapshot: the kicked chip's residents
+    /// ([`Chip::victim_views`]) and the jobs queued for it
+    /// ([`Scheduler::queued_for`]), refilled per check. The queue buffer
+    /// is empty between checks; [`recycle`] re-types it for the borrow
+    /// of each check.
+    views_scratch: Vec<VictimView>,
+    queued_scratch: Vec<&'static Job>,
     /// Whether an [`EventKind::AutoscaleTick`] is in the heap. The tick
     /// chain dies when the fleet goes idle; a live engine re-arms it on
     /// the next inject (unreachable during trace replay, where work
@@ -690,6 +705,8 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
             finished_scratch: Vec::new(),
             sink: None,
             token_scratch: Vec::new(),
+            views_scratch: Vec::new(),
+            queued_scratch: Vec::new(),
             autoscale_armed: false,
         }
     }
@@ -1137,18 +1154,25 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         // may clear room. The snapshot is skipped outright when the
         // policy never evicts, or there is nothing to evict, or nothing
         // is queued for this chip (its private queue or the shared
-        // queue) to evict for — this path runs on every kick.
+        // queue) to evict for — this path runs on every kick. When it is
+        // taken, it fills the engine's two reusable buffers.
         let victims = if online
             && self.preempt.may_preempt()
             && self.chips[chip_idx].active_jobs() > 0
             && self.scheduler.queued_len_for(chip_idx) > 0
         {
             let cap = self.capacity(chip_idx);
-            let views = self.chips[chip_idx].victim_views();
-            let queued = self.scheduler.queued_for(chip_idx);
+            let mut views = std::mem::take(&mut self.views_scratch);
+            self.chips[chip_idx].victim_views(&mut views);
+            let mut queued = recycle(std::mem::take(&mut self.queued_scratch));
+            self.scheduler.queued_for(chip_idx, &mut queued);
             let mut cost = FitView::new(&mut self.cost, &self.chips);
-            self.preempt
-                .victims(&queued, &views, &mut cost, chip_idx, cap, now)
+            let victims = self
+                .preempt
+                .victims(&queued, &views, &mut cost, chip_idx, cap, now);
+            self.queued_scratch = recycle(queued);
+            self.views_scratch = views;
+            victims
         } else {
             Vec::new()
         };
@@ -1161,10 +1185,13 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
         // claim on the freed capacity belongs to the blocked job
         // preemption served. Re-queueing the victims before this call
         // would hand the space straight back to them and the eviction
-        // would be pure swap churn.
+        // would be pure swap churn. A pass that would call the policy on
+        // no queue is skipped: at steady state, most of them.
         let had_evictions = !evicted.is_empty();
-        let decision = self.take_for(chip_idx, online, now);
-        self.admit_all(chip_idx, decision, now);
+        if self.scheduler.has_admission_work(chip_idx, online) {
+            let decision = self.take_for(chip_idx, online, now);
+            self.admit_all(chip_idx, decision, now);
+        }
         if had_evictions {
             for job in evicted.into_iter().rev() {
                 self.scheduler.requeue(chip_idx, job, &mut self.cost);
@@ -1444,16 +1471,22 @@ impl<C: FleetCost, A: AdmissionPolicy, B: BatchPolicy, R: RoutingPolicy, P: Pree
     /// [`FleetCost::handoff_cycles_on`] over the pool wiring and is
     /// charged into the source's busy cycles now and the target's at
     /// delivery, when the job re-enters admission pinned to the target.
+    ///
+    /// Most round ends hand nothing off (a prefill chip's round ends
+    /// with a graduate only when a prefill pass just finished), so this
+    /// returns before touching the pool spec unless `src` is a prefill
+    /// chip and [`Chip::has_prefill_graduates`].
     fn migrate_graduates(&mut self, src: usize, now: u64) {
-        // Taken (not cloned) for the duration of the walk — the spec is
-        // restored below, and nothing on this path reads `self.pools`.
-        let Some(pools) = self.pools.take() else {
-            return;
-        };
-        if pools.role(src) != PoolRole::Prefill {
-            self.pools = Some(pools);
+        let is_prefill = self
+            .pools
+            .as_ref()
+            .is_some_and(|p| p.role(src) == PoolRole::Prefill);
+        if !is_prefill || !self.chips[src].has_prefill_graduates() {
             return;
         }
+        // Taken (not cloned) for the duration of the walk — the spec is
+        // restored below, and nothing on this path reads `self.pools`.
+        let pools = self.pools.take().expect("a prefill chip has a pool spec");
         for (mut job, dirty_bytes) in self.chips[src].take_prefill_graduates(now) {
             // Only online chips receive handoffs: a payload sent to a
             // draining chip would extend its departure, one sent to an
@@ -1783,6 +1816,17 @@ mod tests {
             assert_eq!(engine.replay(&trace).completed, 30);
             assert_eq!(prewarms.get(), expected, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn recycle_keeps_the_allocation_and_empties_it() {
+        let ids = [1u64, 2, 3];
+        let mut buf: Vec<&u64> = Vec::with_capacity(8);
+        buf.extend(&ids);
+        let (ptr, cap) = (buf.as_ptr() as usize, buf.capacity());
+        let parked: Vec<&'static u64> = recycle(buf);
+        assert!(parked.is_empty());
+        assert_eq!((parked.as_ptr() as usize, parked.capacity()), (ptr, cap));
     }
 
     /// The premise behind waking only the chip whose round ended: an

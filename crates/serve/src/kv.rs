@@ -515,8 +515,13 @@ impl KvPager {
     /// position `steps_done`, returning freed blocks to the pool
     /// (pruning-aware reclaim). Returns the job's unique bytes after
     /// reclaim. Page count is monotonically non-increasing: the curve
-    /// never rises and growth is never allocated here.
+    /// never rises and growth is never allocated here. Past the curve's
+    /// `horizon` it is flat, so the step before freed all that this one
+    /// could, and this returns `unique_bytes` at once.
     pub fn reclaim(&mut self, need: &JobKvNeed, unique_bytes: u64, steps_done: u64) -> u64 {
+        if steps_done > need.horizon {
+            return unique_bytes;
+        }
         let held = unique_bytes / KV_BLOCK_BYTES;
         let target = self.unique_blocks_at(need, steps_done);
         if target >= held {
@@ -878,6 +883,12 @@ mod tests {
         assert_eq!(unique, 14 * BLOCK);
         assert_eq!(p.stats.blocks_reclaimed, reclaimed_total);
         assert_eq!(p.stats.blocks_reclaimed, 36);
+        // Past the horizon the flat curve frees nothing, however far.
+        for t in [n.horizon + 1, 1_000, u64::MAX] {
+            assert_eq!(p.reclaim(&n, unique, t), unique, "step {t}");
+        }
+        assert_eq!(p.stats.blocks_reclaimed, 36);
+        assert!(p.balances(unique / BLOCK));
         p.unmap_job(&n, unique, 50);
         p.assert_drained();
     }

@@ -551,7 +551,9 @@ pub struct Admission {
 /// nothing for an empty queue (every bundled policy admits and rejects
 /// nothing there), and must not count on a call per queue per pass. A
 /// draining chip's pass ([`Scheduler::take_local`]) is the private-queue
-/// call alone.
+/// call alone. The event loop makes no pass at all where
+/// [`Scheduler::has_admission_work`] says no call would be made, which
+/// at steady state is most round boundaries.
 ///
 /// ```
 /// use spatten_serve::{
@@ -965,9 +967,23 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     }
 
     /// Jobs `chip` could admit: its private queue plus the shared queue
-    /// — the length of [`Scheduler::queued_for`], in O(1).
+    /// — the number of jobs [`Scheduler::queued_for`] fills in, in O(1).
+    /// The event loop asks it first, and takes that snapshot only when
+    /// it is non-zero.
     pub fn queued_len_for(&self, chip: usize) -> usize {
         self.routed[chip].len() + self.shared.len()
+    }
+
+    /// Whether an admission pass for `chip` would call the policy at all
+    /// (see the [`AdmissionPolicy`] call pattern): on the chip's first
+    /// pass, or when its private queue holds work, or — `online` chips
+    /// only, since a draining one never takes shared work — when the
+    /// shared queue does. A pass this rejects decides nothing, so the
+    /// event loop skips it.
+    pub fn has_admission_work(&self, chip: usize, online: bool) -> bool {
+        !self.introduced[chip]
+            || !self.routed[chip].is_empty()
+            || (online && !self.shared.is_empty())
     }
 
     /// Serial-cycle backlog estimate of `chip`'s private queue.
@@ -1025,14 +1041,18 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         self.routed[chip].push_front(job);
     }
 
-    /// The jobs `chip` could admit, in admission-scan order: its private
-    /// queue first, then the shared queue, each oldest first.
-    pub fn queued_for(&self, chip: usize) -> Vec<&Job> {
-        self.routed[chip]
-            .iter()
-            .chain(self.shared.iter())
-            .map(|q| &q.job)
-            .collect()
+    /// Fills `out` with the jobs `chip` could admit, in admission-scan
+    /// order — its private queue first, then the shared queue, each
+    /// oldest first — replacing whatever it held. The event loop reuses
+    /// one buffer for every chip's preemption checks.
+    pub fn queued_for<'a>(&'a self, chip: usize, out: &mut Vec<&'a Job>) {
+        out.clear();
+        out.extend(
+            self.routed[chip]
+                .iter()
+                .chain(self.shared.iter())
+                .map(|q| &q.job),
+        );
     }
 
     fn charge<C: FleetCost>(&mut self, chip: usize, job: &Job, cost: &mut C) {
@@ -1160,7 +1180,10 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     /// queue is empty (always, under routing that places every arrival).
     /// Admitted and rejected jobs are removed from their queue; an empty
     /// decision means the chip stays as it is. See the
-    /// [`AdmissionPolicy`] call pattern for when the policy is called.
+    /// [`AdmissionPolicy`] call pattern for when the policy is called:
+    /// where [`Scheduler::has_admission_work`] is false, this returns an
+    /// empty decision without calling it, and the event loop skips the
+    /// pass.
     pub fn take<C: FleetCost>(
         &mut self,
         cost: &mut C,
@@ -1191,7 +1214,8 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
     /// queue holds only work whose KV prefix lives in this chip's HBM,
     /// which the chip must finish before departing; the shared queue
     /// belongs to the survivors. An empty private queue is offered to
-    /// the policy on the chip's first pass only.
+    /// the policy on the chip's first pass only: the private half of
+    /// [`Scheduler::has_admission_work`].
     ///
     /// [`Availability::Draining`]: crate::elastic::Availability::Draining
     pub fn take_local<C: FleetCost>(
@@ -1201,7 +1225,7 @@ impl<A: AdmissionPolicy, R: RoutingPolicy> Scheduler<A, R> {
         cap: ChipCapacity,
         now: u64,
     ) -> Admission {
-        if self.routed[chip].is_empty() && self.introduced[chip] {
+        if !self.has_admission_work(chip, false) {
             return Admission::default();
         }
         self.introduced[chip] = true;
@@ -1578,6 +1602,51 @@ mod tests {
         assert!(s.pending_cycles_on(1) > 0);
         let got = s.take(&mut c, 1, idle_cap(8), 0).jobs;
         assert_eq!(got[0].id, 2);
+    }
+
+    #[test]
+    fn queued_for_refills_a_buffer_another_chip_filled() {
+        let mut c = cost();
+        let mut s = Scheduler::new(ArrivalOrderAdmission, SharedQueueRouting, 3);
+        for id in [1, 2] {
+            s.on_arrival(job(id, 64, 4), &mut c, &[], 0);
+        }
+        // Re-queued at the front, so pushed newest first.
+        for id in [12, 11, 10] {
+            s.requeue(0, job(id, 64, 4), &mut c);
+        }
+        for id in [21, 20] {
+            s.requeue(1, job(id, 64, 4), &mut c);
+        }
+        let ids = |buf: &Vec<&Job>| buf.iter().map(|j| j.id).collect::<Vec<_>>();
+        let mut buf = Vec::new();
+        s.queued_for(0, &mut buf);
+        assert_eq!(ids(&buf), [10, 11, 12, 1, 2]);
+        // Exactly the next chip's scan: private queue, then shared.
+        s.queued_for(1, &mut buf);
+        assert_eq!(ids(&buf), [20, 21, 1, 2]);
+        s.queued_for(2, &mut buf);
+        assert_eq!(ids(&buf), [1, 2]);
+        assert_eq!(buf.len(), s.queued_len_for(2));
+    }
+
+    #[test]
+    fn admission_work_is_the_first_pass_or_a_queue_the_pass_may_take() {
+        let mut c = cost();
+        let mut s = Scheduler::new(ArrivalOrderAdmission, SharedQueueRouting, 2);
+        // The first pass always counts, empty queues or not.
+        assert!(s.has_admission_work(0, true) && s.has_admission_work(1, false));
+        assert!(s.take(&mut c, 0, idle_cap(8), 0).jobs.is_empty());
+        assert!(s.take_local(&mut c, 1, idle_cap(8), 0).jobs.is_empty());
+        assert!(!s.has_admission_work(0, true) && !s.has_admission_work(1, false));
+        // Shared work is for online chips only.
+        s.on_arrival(job(1, 64, 4), &mut c, &[], 0);
+        assert!(s.has_admission_work(1, true));
+        assert!(!s.has_admission_work(1, false));
+        // A private queue's work is its chip's, online or draining.
+        s.requeue(1, job(2, 64, 4), &mut c);
+        assert!(s.has_admission_work(1, false));
+        assert!(!s.has_admission_work(0, false));
     }
 
     #[test]
